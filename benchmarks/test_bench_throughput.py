@@ -39,6 +39,7 @@ from repro.obs.benchhistory import (
 from repro.sim.columnar import numpy_available
 from repro.sim.config import (
     ExperimentScale,
+    RunOptions,
     make_scheme,
     registry_scheme_keys,
 )
@@ -106,7 +107,9 @@ def _measure(scheme: str, backend: str = "python") -> dict:
     try:
         for _ in range(MEASURE_REPS):
             cache = make_scheme(scheme, SCALE.geometry())
-            manifest = run_trace(cache, trace, backend=backend).manifest
+            manifest = run_trace(
+                cache, trace, options=RunOptions(backend=backend)
+            ).manifest
             rate = manifest.measured_accesses / manifest.measured_seconds
             if best is None or rate > best[0]:
                 best = (rate, manifest)

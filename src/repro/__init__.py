@@ -58,6 +58,7 @@ from repro.resilience import FaultPlan, RetryPolicy, run_fault_campaign
 from repro.sim import (
     ExperimentScale,
     PAPER_SCHEMES,
+    RunOptions,
     available_schemes,
     make_scheme,
     run_benchmarks,
@@ -89,6 +90,7 @@ __all__ = [
     "RingBufferSink",
     "RunLedger",
     "RunManifest",
+    "RunOptions",
     "RunProfiler",
     "SbcCache",
     "SetAssociativeCache",

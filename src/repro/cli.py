@@ -105,7 +105,12 @@ from repro.resilience.faults import FAULT_TARGETS
 from repro.sim.cache import RunCache, load_run, save_run
 from repro.sim.campaign import campaign_status, run_campaign
 from repro.sim.columnar import BACKENDS
-from repro.sim.config import ExperimentScale, available_schemes, make_scheme
+from repro.sim.config import (
+    ExperimentScale,
+    RunOptions,
+    available_schemes,
+    make_scheme,
+)
 from repro.sim.results import format_series, format_table
 from repro.sim.runner import associativity_sweep, run_benchmarks
 from repro.sim.simulator import run_trace
@@ -176,18 +181,23 @@ def _finish_profile(profiler: RunProfiler, args: argparse.Namespace) -> None:
         print(f"wrote profile report to {profile_json}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    scale = _scale_from(args)
+def _benchmark_run(scheme: str, benchmark: str, scale: ExperimentScale,
+                   options: RunOptions):
+    """One in-process run of ``scheme`` on ``benchmark`` at ``scale``."""
     trace = make_benchmark_trace(
-        args.benchmark, num_sets=scale.num_sets, length=scale.trace_length
+        benchmark, num_sets=scale.num_sets, length=scale.trace_length
     )
-    cache = make_scheme(args.scheme, scale.geometry())
-    result = run_trace(
-        cache, trace,
-        warmup_fraction=scale.warmup_fraction,
-        metrics_window=args.window,
-        backend=args.backend,
-        ledger=args.ledger,
+    cache = make_scheme(scheme, scale.geometry())
+    return run_trace(
+        cache, trace, warmup_fraction=scale.warmup_fraction, options=options
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = _benchmark_run(
+        args.scheme, args.benchmark, _scale_from(args),
+        RunOptions(metrics_window=args.window, backend=args.backend,
+                   ledger=args.ledger),
     )
     print(f"{result.scheme} on {result.trace_name}: "
           f"MPKI={result.mpki:.3f}  AMAT={result.amat:.2f}  "
@@ -273,7 +283,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         max_workers=args.jobs,
         run_cache=run_cache,
         telemetry_dir=args.telemetry,
-        backend=args.backend,
+        options=RunOptions(backend=args.backend),
     )
     table = matrix.metric_table(lambda result: result.mpki)
     print(format_table(table, matrix.schemes, title="MPKI"))
@@ -569,28 +579,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _windowed_run(scheme: str, benchmark: str, scale, window: int):
-    """One in-process run with windowed metrics (diff/report inputs)."""
-    trace = make_benchmark_trace(
-        benchmark, num_sets=scale.num_sets, length=scale.trace_length
-    )
-    cache = make_scheme(scheme, scale.geometry())
-    return run_trace(
-        cache, trace,
-        warmup_fraction=scale.warmup_fraction,
-        metrics_window=window,
-    )
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     scale = _scale_from(args)
+    windowed = RunOptions(metrics_window=args.window)
 
     def resolve(operand: str):
         # A path to a saved run wins; anything else is a scheme name
         # simulated in-process on --benchmark at the current scale.
         if Path(operand).is_file():
             return load_run(operand)
-        return _windowed_run(operand, args.benchmark, scale, args.window)
+        return _benchmark_run(operand, args.benchmark, scale, windowed)
 
     diff = diff_results(resolve(args.a), resolve(args.b), top_k=args.top_k)
     rendered = diff.render()
@@ -608,19 +606,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ledgered_run(scheme: str, benchmark: str, scale):
-    """One in-process run with the capacity-flow ledger attached."""
-    trace = make_benchmark_trace(
-        benchmark, num_sets=scale.num_sets, length=scale.trace_length
-    )
-    cache = make_scheme(scheme, scale.geometry())
-    return run_trace(
-        cache, trace,
-        warmup_fraction=scale.warmup_fraction,
-        ledger=True,
-    )
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     scale = _scale_from(args)
 
@@ -630,7 +615,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         # component and per-set rows are available).
         if Path(operand).is_file():
             return load_run(operand)
-        return _ledgered_run(operand, args.benchmark, scale)
+        return _benchmark_run(
+            operand, args.benchmark, scale, RunOptions(ledger=True)
+        )
 
     attribution = attribute(resolve(args.a), resolve(args.b))
     rendered = attribution.render(top_k=args.top_k)
@@ -657,9 +644,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         report = build_report(args.benchmark, scale=scale)
         print(render_report(report))
         return 0
-    run_a = _windowed_run(args.scheme, args.benchmark, scale, args.window)
+    windowed = RunOptions(metrics_window=args.window)
+    run_a = _benchmark_run(args.scheme, args.benchmark, scale, windowed)
     if args.vs:
-        run_b = _windowed_run(args.vs, args.benchmark, scale, args.window)
+        run_b = _benchmark_run(args.vs, args.benchmark, scale, windowed)
         html = diff_to_html(run_a, run_b)
     else:
         html = render_run_html(run_a)

@@ -17,7 +17,7 @@ and the README's *Observability* section):
   the ``repro trace`` command.
 * **metrics** — a :class:`MetricsRegistry` of counter deltas, derived
   rates and scheme gauges sampled on fixed access-window boundaries
-  (``run_trace(..., metrics_window=N)``); series export as JSONL or
+  (``RunOptions(metrics_window=N)``); series export as JSONL or
   Prometheus text and ride along inside ``RunResult``.
 * **diff + htmlreport** — :func:`diff_results` compares two runs into
   a byte-stable delta report; :func:`render_run_html` renders one run

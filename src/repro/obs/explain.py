@@ -163,7 +163,7 @@ class Attribution:
 def attribute(a: RunResult, b: RunResult) -> Attribution:
     """Decompose the hit delta between runs ``a`` (base) and ``b``.
 
-    Both runs may carry ledgers (``run_trace(..., ledger=True)`` or
+    Both runs may carry ledgers (``RunOptions(ledger=True)`` runs or
     saved-run files written from such runs); either may lack one, in
     which case the affected components fall back to stats-only or zero
     with an explanatory note.  The invariant

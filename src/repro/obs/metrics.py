@@ -22,7 +22,8 @@ Zero-overhead contract
 Like :class:`~repro.obs.tracer.Tracer`, metrics cost nothing unless
 asked for: no cache ever calls into this module from its access path.
 Sampling is driven by the harness (``run_trace(...,
-metrics_window=N)`` or :func:`~repro.sim.timeline.run_timeline`), which
+options=RunOptions(metrics_window=N))`` or
+:func:`~repro.sim.timeline.run_timeline`), which
 simply stops the simulation loop at window boundaries and calls
 :meth:`MetricsRegistry.sample`.  With ``metrics_window=None`` (the
 default) the hot loop is byte-identical to the uninstrumented path.

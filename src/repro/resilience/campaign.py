@@ -119,11 +119,9 @@ class CampaignReport:
         )
 
 
-def _scheme_configuration(
-    scheme: str, safe_mode: bool
-) -> Dict[str, Any]:
+def _scheme_configuration(scheme: str) -> Dict[str, Any]:
     """Extra make_scheme kwargs arming safe mode where supported."""
-    if scheme.lower() == "stem" and safe_mode:
+    if scheme.lower() == "stem":
         return {"config": StemConfig(safe_mode=True)}
     return {}
 
@@ -134,7 +132,6 @@ def run_fault_campaign(
     plan: Union[str, FaultPlan],
     seed: int = 0xACE1,
     scale: Optional[ExperimentScale] = None,
-    safe_mode: bool = True,
     tracer: Optional[Tracer] = None,
 ) -> CampaignReport:
     """Run one deterministic fault campaign and summarise degradation.
@@ -142,7 +139,8 @@ def run_fault_campaign(
     All three runs (fault-free, faulted, plain-LRU reference) execute
     with ``warmup_fraction=0.0`` so the injection schedule covers the
     entire access stream and the safe-mode statistics are never reset
-    mid-run.  ``benchmark`` may be a benchmark name or a pre-built
+    mid-run.  STEM always runs with safe mode armed.  ``benchmark`` may
+    be a benchmark name or a pre-built
     :class:`~repro.workloads.trace.Trace`.
     """
     scale = scale if scale is not None else ExperimentScale.default()
@@ -157,30 +155,22 @@ def run_fault_campaign(
             benchmark, num_sets=scale.num_sets, length=scale.trace_length
         )
     geometry = scale.geometry()
-    extra = _scheme_configuration(scheme, safe_mode)
+    extra = _scheme_configuration(scheme)
 
-    baseline_cache = make_scheme(scheme, geometry, seed=seed, **extra)
-    baseline = run_trace(
-        baseline_cache, trace, warmup_fraction=0.0, machine=scale.machine
-    )
+    def run(cache):
+        return run_trace(
+            cache, trace, warmup_fraction=0.0, machine=scale.machine
+        )
 
+    baseline = run(make_scheme(scheme, geometry, seed=seed, **extra))
     faulted_cache = make_scheme(
         scheme, geometry, seed=seed, tracer=tracer, **extra
     )
     injector = FaultInjector(
         plan, length=len(trace), seed=seed, tracer=tracer
     )
-    faulted = run_trace(
-        InjectingCache(faulted_cache, injector),
-        trace,
-        warmup_fraction=0.0,
-        machine=scale.machine,
-    )
-
-    lru_cache = make_scheme("lru", geometry, seed=seed)
-    lru = run_trace(
-        lru_cache, trace, warmup_fraction=0.0, machine=scale.machine
-    )
+    faulted = run(InjectingCache(faulted_cache, injector))
+    lru = run(make_scheme("lru", geometry, seed=seed))
 
     safe_sets: Tuple[int, ...] = tuple(
         getattr(faulted_cache, "safe_mode_sets", lambda: ())()

@@ -10,12 +10,12 @@ attempts is summarised as a structured
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Union
 
 from repro.common.errors import ConfigError
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, RunOptions
 from repro.sim.results import RunFailure
 from repro.sim.simulator import RunResult, run_trace
 from repro.workloads.trace import Trace
@@ -63,10 +63,8 @@ def guarded_run(
     watchdog_seconds: Optional[float] = None,
     warmup_fraction: float = 0.25,
     machine: Optional[MachineConfig] = None,
-    metrics_window: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     telemetry=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
 ) -> Union[RunResult, RunFailure]:
     """Run one (scheme, trace) cell with isolation.
 
@@ -84,17 +82,14 @@ def guarded_run(
     so a parent aggregator can tell a slow cell from a stalled worker
     before the watchdog deadline converts it into a RunFailure.
 
-    ``backend`` is forwarded to :func:`run_trace` on the first attempt
-    only; retries force the scalar oracle so a hypothetical columnar
-    defect can never burn the whole retry budget on the same kernel.
-    (The exactness contract makes the paths interchangeable, so the
-    downgrade is invisible in results.)
-
-    ``ledger=True`` threads the capacity-flow ledger through each
-    attempt (every retry gets a fresh sink with its fresh cache).  A
-    conservation violation at seal is an exception like any other: it
-    is retried under the policy and, if persistent, surfaces as a
-    structured :class:`RunFailure` naming ``InvariantViolation``.
+    ``options`` reach :func:`run_trace` unchanged on the first attempt;
+    retries force the scalar oracle so a hypothetical columnar defect
+    can never burn the whole retry budget on the same kernel.  (The
+    exactness contract makes the paths interchangeable, so the
+    downgrade is invisible in results.)  A ledgered run gets a fresh
+    sink with every fresh cache; a conservation violation at seal is
+    retried like any other exception and, if persistent, surfaces as a
+    :class:`RunFailure` naming ``InvariantViolation``.
     """
     retry = retry if retry is not None else DEFAULT_RETRY
     seeds = retry.seeds(base_seed)
@@ -116,10 +111,11 @@ def guarded_run(
                 warmup_fraction=warmup_fraction,
                 machine=machine,
                 deadline_seconds=watchdog_seconds,
-                metrics_window=metrics_window,
+                options=(
+                    options if attempt == 1
+                    else replace(options, backend="python")
+                ),
                 telemetry=telemetry,
-                backend=backend if attempt == 1 else "python",
-                ledger=ledger,
             )
             if telemetry is not None:
                 telemetry.cell_end("ok")

@@ -4,6 +4,7 @@ from repro.sim.config import (
     PAPER_SCHEMES,
     ExperimentScale,
     MachineConfig,
+    RunOptions,
     available_schemes,
     canonical_scheme_name,
     make_scheme,
@@ -51,6 +52,7 @@ __all__ = [
     "ResultMatrix",
     "RunCache",
     "RunFailure",
+    "RunOptions",
     "RunResult",
     "Timeline",
     "associativity_sweep",

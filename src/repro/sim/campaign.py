@@ -39,11 +39,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Any,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -65,8 +67,7 @@ from repro.obs.profile import RunProfiler
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import RetryPolicy
 from repro.sim.cache import RunCache, result_to_dict
-from repro.sim.columnar import BACKENDS
-from repro.sim.config import canonical_scheme_name
+from repro.sim.config import RunOptions, canonical_scheme_name
 from repro.sim.parallel import (
     CellObserver,
     CellOutcome,
@@ -81,6 +82,11 @@ from repro.workloads.benchmark_sets import (
 )
 from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 from repro.workloads.trace import Trace
+
+try:  # fcntl is POSIX-only; elsewhere campaigns run without the lock
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None  # type: ignore[assignment]
 
 #: Journal format marker, recorded in ``campaign_start``.
 JOURNAL_FORMAT = 1
@@ -164,11 +170,9 @@ class CampaignSpec:
     fault_plans: Tuple[Optional[str], ...]
     trace_length: int
     warmup_fraction: float
-    metrics_window: Optional[int]
     retry: Optional[RetryPolicy]
     watchdog_seconds: Optional[float]
-    backend: Optional[str] = None
-    ledger: bool = False
+    options: RunOptions = RunOptions()
 
     def total_cells(self) -> int:
         return (
@@ -180,7 +184,9 @@ class CampaignSpec:
         """Content hash of the *semantic* spec (not the file bytes).
 
         The source path is deliberately excluded so a moved or
-        re-indented spec file still resumes its journal.
+        re-indented spec file still resumes its journal; which run
+        options count is decided by
+        :meth:`~repro.sim.config.RunOptions.identity`.
         """
         payload = {
             "name": self.name,
@@ -191,23 +197,13 @@ class CampaignSpec:
             "fault_plans": list(self.fault_plans),
             "trace_length": self.trace_length,
             "warmup_fraction": self.warmup_fraction,
-            "metrics_window": self.metrics_window,
             "retry": (
                 [self.retry.max_attempts, self.retry.reseed_step]
                 if self.retry is not None else None
             ),
             "watchdog_seconds": self.watchdog_seconds,
+            **self.options.identity(spec=True),
         }
-        if self.backend is not None:
-            # Only specs that name a backend carry the key, so every
-            # pre-existing journal digest keeps resuming.  (The backend
-            # cannot change results — the digest guards *intent*.)
-            payload["backend"] = self.backend
-        if self.ledger:
-            # Same only-when-set idiom; a ledgered campaign produces
-            # different cell payloads, so it must not resume a
-            # ledger-less journal (or vice versa).
-            payload["ledger"] = True
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -343,24 +339,17 @@ def _parse_fault_plans(
     return tuple(plans)
 
 
-def _parse_backend(
-    source: str, document: Dict[str, Any]
-) -> Optional[str]:
-    raw = document.get("backend")
-    if raw is None:
-        return None
-    if not isinstance(raw, str) or raw not in BACKENDS:
-        raise _fail(source, "backend",
-                    f"expected one of {', '.join(BACKENDS)}, got {raw!r}")
-    return raw
-
-
-def _parse_ledger(source: str, document: Dict[str, Any]) -> bool:
-    raw = document.get("ledger", False)
-    if not isinstance(raw, bool):
-        raise _fail(source, "ledger",
-                    f"expected true or false, got {raw!r}")
-    return raw
+def _parse_options(source: str, document: Dict[str, Any]) -> RunOptions:
+    """The spec's run options; each is validated alone to name its key."""
+    fields: Dict[str, Any] = {}
+    for key in ("metrics_window", "backend", "ledger"):
+        if key in document:
+            try:
+                RunOptions(**{key: document[key]})
+            except ConfigError as exc:
+                raise _fail(source, key, str(exc)) from exc
+            fields[key] = document[key]
+    return RunOptions(**fields)
 
 
 def _parse_retry(
@@ -448,11 +437,6 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
     if not 0.0 <= warmup_fraction < 1.0:
         raise _fail(source, "warmup_fraction",
                     f"must lie in [0, 1), got {warmup_fraction!r}")
-    metrics_window = document.get("metrics_window")
-    if metrics_window is not None:
-        metrics_window = _expect_int(
-            source, "metrics_window", metrics_window, minimum=1
-        )
     watchdog_seconds: Optional[float] = None
     if document.get("watchdog_seconds") is not None:
         watchdog_seconds = _expect_number(
@@ -471,11 +455,9 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
         fault_plans=_parse_fault_plans(source, document),
         trace_length=trace_length,
         warmup_fraction=warmup_fraction,
-        metrics_window=metrics_window,
         retry=_parse_retry(source, document),
         watchdog_seconds=watchdog_seconds,
-        backend=_parse_backend(source, document),
-        ledger=_parse_ledger(source, document),
+        options=_parse_options(source, document),
     )
 
 
@@ -540,10 +522,8 @@ def build_cells(spec: CampaignSpec) -> List[CampaignCell]:
                                 warmup_fraction=spec.warmup_fraction,
                                 retry=spec.retry,
                                 watchdog_seconds=spec.watchdog_seconds,
-                                metrics_window=spec.metrics_window,
                                 fault_plan=plan,
-                                backend=spec.backend,
-                                ledger=spec.ledger,
+                                options=spec.options,
                             ),
                         ))
                         index += 1
@@ -880,6 +860,45 @@ def _write_quarantine(
         )
 
 
+#: Campaign lock files this process holds.  Pool workers forked while a
+#: lock is held inherit its descriptor, and an orphaned worker would keep
+#: a SIGKILLed runner's lock alive; each child closes its copies at fork.
+_HELD_LOCKS: List[TextIO] = []
+
+
+def _close_inherited_locks() -> None:
+    for handle in _HELD_LOCKS:
+        handle.close()
+
+
+if fcntl is not None:
+    os.register_at_fork(after_in_child=_close_inherited_locks)
+
+
+@contextmanager
+def _single_writer(directory: Path) -> Iterator[None]:
+    """Hold ``campaign.lock`` for one runner; a second one fails at once.
+
+    The kernel drops a ``flock`` with its descriptor, so a killed runner
+    never leaves a stale lock behind.
+    """
+    if fcntl is None:
+        yield
+        return
+    with open(directory / "campaign.lock", "a", encoding="utf-8") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CampaignError(
+                f"campaign directory {directory} is in use by another runner"
+            ) from None
+        _HELD_LOCKS.append(handle)
+        try:
+            yield
+        finally:
+            _HELD_LOCKS.remove(handle)
+
+
 def run_campaign(
     spec_path: Union[str, Path],
     directory: Optional[Union[str, Path]] = None,
@@ -911,6 +930,9 @@ def run_campaign(
     campaign directory is ingested after the journal closes and the
     summary lands — the ``repro campaign run --index`` hook.  Ingestion
     is idempotent, so resumed campaigns simply advance their row.
+
+    One runner at a time: a second ``run_campaign`` on a directory whose
+    runner is still alive raises :class:`CampaignError` naming it.
     """
     spec = load_campaign_spec(spec_path)
     directory = (
@@ -918,160 +940,161 @@ def run_campaign(
         else default_campaign_dir(spec_path)
     )
     directory.mkdir(parents=True, exist_ok=True)
-    journal_path = directory / "campaign.jsonl"
-    if fresh and journal_path.exists():
-        journal_path.unlink()
-    cells = build_cells(spec)
-    state = replay_journal(journal_path)
-    if state.truncated:
-        _trim_torn_tail(journal_path)
-    digest = spec.digest()
-    if state.spec_digest is not None and state.spec_digest != digest:
-        raise CampaignError(
-            f"journal {journal_path} was written by a different spec "
-            f"(digest {state.spec_digest[:12]}..., current "
-            f"{digest[:12]}...); pass --fresh to discard it"
+    with _single_writer(directory):
+        journal_path = directory / "campaign.jsonl"
+        if fresh and journal_path.exists():
+            journal_path.unlink()
+        cells = build_cells(spec)
+        state = replay_journal(journal_path)
+        if state.truncated:
+            _trim_torn_tail(journal_path)
+        digest = spec.digest()
+        if state.spec_digest is not None and state.spec_digest != digest:
+            raise CampaignError(
+                f"journal {journal_path} was written by a different spec "
+                f"(digest {state.spec_digest[:12]}..., current "
+                f"{digest[:12]}...); pass --fresh to discard it"
+            )
+        run_cache = RunCache(
+            Path(run_cache_dir) if run_cache_dir is not None
+            else directory / "runcache"
         )
-    run_cache = RunCache(
-        Path(run_cache_dir) if run_cache_dir is not None
-        else directory / "runcache"
-    )
 
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    quarantined: Dict[int, QuarantinedCell] = {}
-    pending: List[CellSpec] = []
-    resumed = 0
-    for cell in cells:
-        index = cell.spec.index
-        done = state.completed.get(index)
-        if done is not None:
-            key = done.get("key")
-            served = run_cache.get(key) if isinstance(key, str) else None
-            if served is not None and result_digest(served) == done.get(
-                "digest"
-            ):
-                outcomes[index] = served
+        outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
+        quarantined: Dict[int, QuarantinedCell] = {}
+        pending: List[CellSpec] = []
+        resumed = 0
+        for cell in cells:
+            index = cell.spec.index
+            done = state.completed.get(index)
+            if done is not None:
+                key = done.get("key")
+                served = run_cache.get(key) if isinstance(key, str) else None
+                if served is not None and result_digest(served) == done.get(
+                    "digest"
+                ):
+                    outcomes[index] = served
+                    resumed += 1
+                    continue
+                # Journal says done but the cache cannot prove it: re-run.
+            failed = state.failed.get(index)
+            if failed is not None:
+                failure = _failure_from_record(failed)
+                outcomes[index] = failure
+                quarantined[index] = QuarantinedCell(
+                    cell=index, cell_id=cell.cell_id, failure=failure
+                )
                 resumed += 1
                 continue
-            # Journal says done but the cache cannot prove it: re-run.
-        failed = state.failed.get(index)
-        if failed is not None:
-            failure = _failure_from_record(failed)
-            outcomes[index] = failure
-            quarantined[index] = QuarantinedCell(
-                cell=index, cell_id=cell.cell_id, failure=failure
-            )
-            resumed += 1
-            continue
-        pending.append(cell.spec)
+            pending.append(cell.spec)
 
-    cell_ids = {cell.spec.index: cell.cell_id for cell in cells}
-    with CampaignJournal(journal_path) as journal:
-        if state.records == 0:
+        cell_ids = {cell.spec.index: cell.cell_id for cell in cells}
+        with CampaignJournal(journal_path) as journal:
+            if state.records == 0:
+                journal.append(
+                    "campaign_start", format=JOURNAL_FORMAT, name=spec.name,
+                    spec_digest=digest, total_cells=len(cells),
+                )
+            else:
+                journal.append("campaign_resume", pending=len(pending))
+            if pending:
+                runner = ParallelRunner(
+                    max_workers=jobs,
+                    run_cache=run_cache,
+                    profiler=profiler,
+                    telemetry_dir=telemetry_dir,
+                    observer=_JournalObserver(journal, cell_ids),
+                )
+                for cell_spec, outcome in zip(pending, runner.run(pending)):
+                    outcomes[cell_spec.index] = outcome
+                    if isinstance(outcome, RunFailure):
+                        quarantined[cell_spec.index] = QuarantinedCell(
+                            cell=cell_spec.index,
+                            cell_id=cell_ids[cell_spec.index],
+                            failure=outcome,
+                        )
             journal.append(
-                "campaign_start", format=JOURNAL_FORMAT, name=spec.name,
-                spec_digest=digest, total_cells=len(cells),
+                "campaign_end",
+                completed=len(cells) - len(quarantined),
+                quarantined=sorted(quarantined),
             )
-        else:
-            journal.append("campaign_resume", pending=len(pending))
-        if pending:
-            runner = ParallelRunner(
-                max_workers=jobs,
-                run_cache=run_cache,
-                profiler=profiler,
-                telemetry_dir=telemetry_dir,
-                observer=_JournalObserver(journal, cell_ids),
-            )
-            for cell_spec, outcome in zip(pending, runner.run(pending)):
-                outcomes[cell_spec.index] = outcome
-                if isinstance(outcome, RunFailure):
-                    quarantined[cell_spec.index] = QuarantinedCell(
-                        cell=cell_spec.index,
-                        cell_id=cell_ids[cell_spec.index],
-                        failure=outcome,
-                    )
-        journal.append(
-            "campaign_end",
-            completed=len(cells) - len(quarantined),
-            quarantined=sorted(quarantined),
+
+        matrix = ResultMatrix()
+        for cell, outcome in zip(cells, outcomes):
+            if isinstance(outcome, RunFailure):
+                matrix.add_failure(outcome)
+            elif outcome is not None:
+                # Relabel with the campaign's axis-aware label; the cached
+                # entry itself is never touched.
+                matrix.add(replace(outcome, scheme=cell.spec.label))
+
+        quarantine_list = [quarantined[index] for index in sorted(quarantined)]
+        _write_quarantine(directory, quarantine_list)
+        normalized = _normalized_or_none(matrix)
+
+        matrix_path = directory / "matrix.txt"
+        atomic_write_text(
+            matrix_path,
+            _render_matrix_text(spec, matrix, normalized, quarantine_list),
         )
-
-    matrix = ResultMatrix()
-    for cell, outcome in zip(cells, outcomes):
-        if isinstance(outcome, RunFailure):
-            matrix.add_failure(outcome)
-        elif outcome is not None:
-            # Relabel with the campaign's axis-aware label; the cached
-            # entry itself is never touched.
-            matrix.add(replace(outcome, scheme=cell.spec.label))
-
-    quarantine_list = [quarantined[index] for index in sorted(quarantined)]
-    _write_quarantine(directory, quarantine_list)
-    normalized = _normalized_or_none(matrix)
-
-    matrix_path = directory / "matrix.txt"
-    atomic_write_text(
-        matrix_path,
-        _render_matrix_text(spec, matrix, normalized, quarantine_list),
-    )
-    summary_path = directory / "summary.json"
-    summary = {
-        "format": 1,
-        "name": spec.name,
-        "spec_digest": digest,
-        "total_cells": len(cells),
-        "completed": len(cells) - len(quarantine_list),
-        "quarantined": [entry.as_dict() for entry in quarantine_list],
-        "mpki": matrix.metric_table(lambda result: result.mpki),
-        "normalized_mpki": normalized,
-    }
-    if spec.ledger:
-        # Per-cell capacity-flow roll-ups; the key appears only for
-        # ledgered campaigns, so every existing summary.json (and the
-        # resume smoke's byte comparison) keeps its exact bytes.
-        summary["ledgers"] = matrix.metric_table(
-            lambda result: (
-                result.ledger.summary() if result.ledger is not None
-                else None
+        summary_path = directory / "summary.json"
+        summary = {
+            "format": 1,
+            "name": spec.name,
+            "spec_digest": digest,
+            "total_cells": len(cells),
+            "completed": len(cells) - len(quarantine_list),
+            "quarantined": [entry.as_dict() for entry in quarantine_list],
+            "mpki": matrix.metric_table(lambda result: result.mpki),
+            "normalized_mpki": normalized,
+        }
+        if spec.options.ledger:
+            # Per-cell capacity-flow roll-ups; the key appears only for
+            # ledgered campaigns, so every existing summary.json (and the
+            # resume smoke's byte comparison) keeps its exact bytes.
+            summary["ledgers"] = matrix.metric_table(
+                lambda result: (
+                    result.ledger.summary() if result.ledger is not None
+                    else None
+                )
             )
+        atomic_write_text(
+            summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n"
         )
-    atomic_write_text(
-        summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    report_path = directory / "report.html"
-    atomic_write_text(
-        report_path,
-        render_campaign_html(
-            name=spec.name,
+        report_path = directory / "report.html"
+        atomic_write_text(
+            report_path,
+            render_campaign_html(
+                name=spec.name,
+                total_cells=len(cells),
+                mpki=summary["mpki"],
+                schemes=list(matrix.schemes),
+                normalized=normalized,
+                quarantined=[entry.as_dict() for entry in quarantine_list],
+            ),
+        )
+        if index_db is not None:
+            # Lazy import: sim imports obs only when the hook is used, and
+            # obs.index itself imports sim lazily (no cycle at module load).
+            from repro.obs.index import ArtifactIndex
+
+            with ArtifactIndex(index_db) as artifact_index:
+                artifact_index.ingest(directory)
+        return CampaignOutcome(
+            spec=spec,
+            directory=directory,
+            matrix=matrix,
             total_cells=len(cells),
-            mpki=summary["mpki"],
-            schemes=list(matrix.schemes),
-            normalized=normalized,
-            quarantined=[entry.as_dict() for entry in quarantine_list],
-        ),
-    )
-    if index_db is not None:
-        # Lazy import: sim imports obs only when the hook is used, and
-        # obs.index itself imports sim lazily (no cycle at module load).
-        from repro.obs.index import ArtifactIndex
-
-        with ArtifactIndex(index_db) as artifact_index:
-            artifact_index.ingest(directory)
-    return CampaignOutcome(
-        spec=spec,
-        directory=directory,
-        matrix=matrix,
-        total_cells=len(cells),
-        executed=len(pending),
-        resumed=resumed,
-        quarantined=quarantine_list,
-        outputs={
-            "journal": journal_path,
-            "matrix": matrix_path,
-            "summary": summary_path,
-            "report": report_path,
-        },
-    )
+            executed=len(pending),
+            resumed=resumed,
+            quarantined=quarantine_list,
+            outputs={
+                "journal": journal_path,
+                "matrix": matrix_path,
+                "summary": summary_path,
+                "report": report_path,
+            },
+        )
 
 
 def campaign_status(directory: Union[str, Path]) -> str:

@@ -18,8 +18,8 @@ time itself be parallelised (see :func:`_build_plan`).  Every other
 scheme (BIP/DIP/DRRIP/Random draw from one global RNG whose draw order
 serialises the stream; FIFO/LIP residency depends on unbounded
 miss/insertion history; STEM adds cross-set spills) falls back to the
-scalar path transparently — ``backend="numpy"`` is a request, not a
-demand.
+scalar path transparently — ``RunOptions(backend="numpy")`` is a
+request, not a demand.
 
 The kernel: each set's access stream is cut into segments of
 :data:`_SEGMENT` accesses.  A segment simulated from an *empty* set is
@@ -50,7 +50,7 @@ try:  # numpy is an optional accelerator (the `fast` extra), never required
 except ImportError:  # pragma: no cover - exercised via the CI no-numpy job
     np = None
 
-#: Backend names accepted by ``run_trace(backend=...)`` and the CLI.
+#: Backend names accepted by ``RunOptions(backend=...)`` and the CLI.
 BACKEND_AUTO = "auto"
 BACKEND_PYTHON = "python"
 BACKEND_NUMPY = "numpy"

@@ -50,7 +50,7 @@ from repro.obs.telemetry import (
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectingCache
 from repro.resilience.harness import RetryPolicy, guarded_run
-from repro.sim.config import MachineConfig, make_scheme
+from repro.sim.config import MachineConfig, RunOptions, make_scheme
 from repro.sim.results import RunFailure
 from repro.sim.simulator import RunResult, run_trace
 from repro.workloads.trace import Trace
@@ -76,19 +76,9 @@ class CellSpec:
     cell seed, so campaign grids can cross fault plans with every other
     axis; ``None`` (the default) costs nothing.
 
-    ``backend`` picks the execution path (``"auto"``/``"python"``/
-    ``"numpy"``, see :mod:`repro.sim.columnar`).  It is deliberately
-    *not* part of :func:`cell_cache_key`: the exactness contract makes
-    backends interchangeable, so a cached scalar result satisfies a
-    numpy request and vice versa.
-
-    ``ledger=True`` attaches the capacity-flow
-    :class:`~repro.obs.ledger.LedgerSink` inside the run, so the cell's
-    :class:`RunResult` carries a sealed
-    :class:`~repro.obs.ledger.RunLedger`.  Unlike ``backend`` it *is*
-    part of the cache key (a ledgered result is a strict superset of a
-    ledger-less one), using the same only-when-set idiom as
-    ``fault_plan`` so every pre-existing key stays valid.
+    ``options`` are the cell's :class:`~repro.sim.config.RunOptions`;
+    which of them enter :func:`cell_cache_key` is decided by
+    :meth:`~repro.sim.config.RunOptions.identity`.
     """
 
     index: int
@@ -102,10 +92,8 @@ class CellSpec:
     isolate: bool = True
     retry: Optional[RetryPolicy] = None
     watchdog_seconds: Optional[float] = None
-    metrics_window: Optional[int] = None
     fault_plan: Optional[str] = None
-    backend: Optional[str] = None
-    ledger: bool = False
+    options: RunOptions = RunOptions()
 
 
 def _build_cell_cache(spec: CellSpec, seed: int):
@@ -158,10 +146,8 @@ def _execute_cell(
                     spec.trace,
                     warmup_fraction=spec.warmup_fraction,
                     machine=spec.machine,
-                    metrics_window=spec.metrics_window,
+                    options=spec.options,
                     telemetry=telemetry,
-                    backend=spec.backend,
-                    ledger=spec.ledger,
                 )
             except BaseException as exc:
                 if telemetry is not None:
@@ -181,10 +167,8 @@ def _execute_cell(
             watchdog_seconds=spec.watchdog_seconds,
             warmup_fraction=spec.warmup_fraction,
             machine=spec.machine,
-            metrics_window=spec.metrics_window,
+            options=spec.options,
             telemetry=telemetry,
-            backend=spec.backend,
-            ledger=spec.ledger,
         )
     finally:
         if telemetry is not None:
@@ -199,9 +183,10 @@ def cell_cache_key(spec: CellSpec) -> Optional[str]:
     class + geometry + config + trace metadata + seed + package version
     — then extends it with what the manifest hash deliberately leaves
     out but a cached *result* depends on: the raw trace content digest,
-    the warm-up split, and the timing-model parameters.  A cell whose
-    scheme cannot even be built (a poisoned factory) has no key; the
-    executor then takes the normal (guarded) path.
+    the warm-up split, the timing-model parameters, and the run options
+    that shape the stored result.  A cell whose scheme cannot even be
+    built (a poisoned factory) has no key; the executor then takes the
+    normal (guarded) path.
     """
     try:
         cache = make_scheme(spec.scheme, spec.geometry, seed=spec.seed)
@@ -214,18 +199,12 @@ def cell_cache_key(spec: CellSpec) -> Optional[str]:
         "trace_digest": spec.trace.content_digest(),
         "warmup_fraction": spec.warmup_fraction,
         "machine": asdict(machine),
-        # Windowed runs carry a series the unwindowed result lacks, so
-        # the window length is part of the cell's identity.
-        "metrics_window": spec.metrics_window,
+        **spec.options.identity(),
     }
     if spec.fault_plan is not None:
         # Only faulted cells carry the field, so every pre-existing
         # key (and cached entry) stays valid.
         payload["fault_plan"] = spec.fault_plan
-    if spec.ledger:
-        # Ledgered results carry a payload ledger-less ones lack, so
-        # they must not satisfy (or be satisfied by) plain lookups.
-        payload["ledger"] = True
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -135,7 +135,7 @@ class ResultMatrix:
     def ledger_for(self, workload: str, scheme: str):
         """The sealed capacity-flow ledger of a cell, or None.
 
-        None covers both a cell run without ``ledger=True`` and a
+        None covers both a cell run without a ledger and a
         failed cell (a :class:`RunFailure` carries no ledger).
         """
         row = self._cells.get(workload, {})

@@ -26,16 +26,34 @@ cells whose content-addressed key already holds a stored result.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.cache.geometry import CacheGeometry
 from repro.obs.profile import RunProfiler
 from repro.resilience.harness import RetryPolicy
-from repro.sim.config import ExperimentScale
-from repro.sim.parallel import CellSpec, ParallelRunner
+from repro.sim.config import ExperimentScale, RunOptions
+from repro.sim.parallel import CellOutcome, CellSpec, ParallelRunner
 from repro.sim.results import ResultMatrix, RunFailure
 from repro.sim.simulator import RunResult
 from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 from repro.workloads.trace import Trace
+
+
+def _run_cells(
+    cells: Sequence[Tuple[str, str, Trace, CacheGeometry]],
+    runner: ParallelRunner,
+    **shared: Any,
+) -> List[CellOutcome]:
+    """Run ``(scheme, label, trace, geometry)`` cells as one grid.
+
+    ``shared`` holds the :class:`CellSpec` fields every cell has in
+    common; cells are indexed in ``cells`` order.
+    """
+    return runner.run([
+        CellSpec(index=index, scheme=scheme, label=label, trace=trace,
+                 geometry=geometry, **shared)
+        for index, (scheme, label, trace, geometry) in enumerate(cells)
+    ])
 
 
 def run_matrix(
@@ -49,10 +67,8 @@ def run_matrix(
     watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
-    metrics_window: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     telemetry_dir=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
 ) -> ResultMatrix:
     """Run every scheme on every trace at one geometry.
 
@@ -66,46 +82,25 @@ def run_matrix(
     cells whose inputs already have a stored result.  ``telemetry_dir``
     arms the live fleet-telemetry channel over that directory — spans,
     heartbeats, ``status.json`` — without changing any outcome (see
-    :class:`~repro.sim.parallel.ParallelRunner`).
-
-    ``backend`` selects the per-cell execution path (``"auto"`` /
-    ``"python"`` / ``"numpy"``); the columnar path's exactness contract
-    means it, too, never changes any outcome (DESIGN.md §13).
-
-    ``ledger=True`` attaches the capacity-flow ledger to every cell, so
-    each :class:`RunResult` carries a sealed
-    :class:`~repro.obs.ledger.RunLedger` (DESIGN.md §14).  Ledgered
-    cells run on the scalar path (tracing forces it) but stay
-    deterministic: serial and parallel grids produce byte-identical
-    ledgers.
+    :class:`~repro.sim.parallel.ParallelRunner`).  ``options`` (a
+    :class:`~repro.sim.config.RunOptions`) apply to every cell.
     """
     scale = scale if scale is not None else ExperimentScale.default()
     geometry = scale.geometry()
-    specs = []
-    for trace in traces:
-        for scheme_name in schemes:
-            specs.append(CellSpec(
-                index=len(specs),
-                scheme=scheme_name,
-                label=scheme_name,
-                trace=trace,
-                geometry=geometry,
-                seed=seed,
-                warmup_fraction=scale.warmup_fraction,
-                machine=scale.machine,
-                isolate=isolate,
-                retry=retry,
-                watchdog_seconds=watchdog_seconds,
-                metrics_window=metrics_window,
-                backend=backend,
-                ledger=ledger,
-            ))
-    runner = ParallelRunner(
-        max_workers=max_workers, run_cache=run_cache, profiler=profiler,
-        telemetry_dir=telemetry_dir,
+    outcomes = _run_cells(
+        [
+            (scheme_name, scheme_name, trace, geometry)
+            for trace in traces
+            for scheme_name in schemes
+        ],
+        ParallelRunner(max_workers=max_workers, run_cache=run_cache,
+                       profiler=profiler, telemetry_dir=telemetry_dir),
+        seed=seed, warmup_fraction=scale.warmup_fraction,
+        machine=scale.machine, isolate=isolate, retry=retry,
+        watchdog_seconds=watchdog_seconds, options=options,
     )
     matrix = ResultMatrix()
-    for outcome in runner.run(specs):
+    for outcome in outcomes:
         if isinstance(outcome, RunFailure):
             matrix.add_failure(outcome)
         else:
@@ -124,10 +119,8 @@ def run_benchmarks(
     watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
-    metrics_window: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     telemetry_dir=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
 ) -> ResultMatrix:
     """Run the (selected) SPEC-like benchmarks through every scheme."""
     scale = scale if scale is not None else ExperimentScale.default()
@@ -144,9 +137,7 @@ def run_benchmarks(
                       profiler=profiler, isolate=isolate, retry=retry,
                       watchdog_seconds=watchdog_seconds,
                       max_workers=max_workers, run_cache=run_cache,
-                      metrics_window=metrics_window,
-                      telemetry_dir=telemetry_dir, backend=backend,
-                      ledger=ledger)
+                      options=options, telemetry_dir=telemetry_dir)
 
 
 def associativity_sweep(
@@ -161,10 +152,8 @@ def associativity_sweep(
     watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
-    metrics_window: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     telemetry_dir=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
 ) -> Dict[str, List[RunResult]]:
     """MPKI-vs-associativity curves (Figures 3 and 10).
 
@@ -178,35 +167,22 @@ def associativity_sweep(
     stay index-aligned with ``associativities``, so errors propagate.
     """
     scale = scale if scale is not None else ExperimentScale.default()
-    isolate = failures is not None
-    specs = []
-    spec_scheme: List[str] = []
-    for associativity in associativities:
-        geometry = scale.geometry(associativity=associativity)
-        for scheme_name in schemes:
-            specs.append(CellSpec(
-                index=len(specs),
-                scheme=scheme_name,
-                label=f"{scheme_name}@{associativity}",
-                trace=trace,
-                geometry=geometry,
-                seed=seed,
-                warmup_fraction=scale.warmup_fraction,
-                machine=scale.machine,
-                isolate=isolate,
-                retry=retry,
-                watchdog_seconds=watchdog_seconds,
-                metrics_window=metrics_window,
-                backend=backend,
-                ledger=ledger,
-            ))
-            spec_scheme.append(scheme_name)
-    runner = ParallelRunner(
-        max_workers=max_workers, run_cache=run_cache, profiler=profiler,
-        telemetry_dir=telemetry_dir,
+    cells = [
+        (scheme_name, f"{scheme_name}@{associativity}", trace,
+         scale.geometry(associativity=associativity))
+        for associativity in associativities
+        for scheme_name in schemes
+    ]
+    outcomes = _run_cells(
+        cells,
+        ParallelRunner(max_workers=max_workers, run_cache=run_cache,
+                       profiler=profiler, telemetry_dir=telemetry_dir),
+        seed=seed, warmup_fraction=scale.warmup_fraction,
+        machine=scale.machine, isolate=failures is not None, retry=retry,
+        watchdog_seconds=watchdog_seconds, options=options,
     )
     curves: Dict[str, List[RunResult]] = {name: [] for name in schemes}
-    for scheme_name, outcome in zip(spec_scheme, runner.run(specs)):
+    for (scheme_name, *_), outcome in zip(cells, outcomes):
         if isinstance(outcome, RunFailure):
             failures.append(outcome)
             continue

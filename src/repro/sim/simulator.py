@@ -33,7 +33,7 @@ from repro.sim.columnar import (
     make_engine,
     resolve_backend,
 )
-from repro.sim.config import MachineConfig
+from repro.sim.config import MachineConfig, RunOptions
 from repro.workloads.trace import Trace
 
 
@@ -42,8 +42,8 @@ class RunResult:
     """Outcome of one (scheme, trace) simulation.
 
     ``series`` carries the windowed metric time-series when the run was
-    made with ``metrics_window=N``; it is None (and costs nothing) by
-    default.
+    made with ``RunOptions(metrics_window=N)``; it is None (and costs
+    nothing) by default.
 
     ``backend`` records which execution path actually ran ("python" or
     "numpy").  It is in-process provenance only: the exactness contract
@@ -52,8 +52,8 @@ class RunResult:
     ``save_run`` payloads and every derived digest.
 
     ``ledger`` carries the capacity-flow ledger when the run was made
-    with ``ledger=True``; it is None (and costs nothing) by default.
-    Unlike ``backend`` it *is* serialised, so saved runs feed
+    with ``RunOptions(ledger=True)``; it is None (and costs nothing) by
+    default.  Unlike ``backend`` it *is* serialised, so saved runs feed
     ``repro explain`` without re-simulating.
     """
 
@@ -198,10 +198,8 @@ def run_trace(
     machine: Optional[MachineConfig] = None,
     with_writes: bool = True,
     deadline_seconds: Optional[float] = None,
-    metrics_window: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     telemetry=None,
-    backend: Optional[str] = None,
-    ledger: bool = False,
 ) -> RunResult:
     """Simulate ``trace`` on ``cache`` and evaluate the paper metrics.
 
@@ -214,15 +212,9 @@ def run_trace(
     the whole run (warm-up plus measurement); exceeding it raises
     :class:`~repro.common.errors.WatchdogTimeout`.
 
-    ``metrics_window`` (accesses) opts into windowed metrics: the
-    measured phase runs window by window, a
-    :class:`~repro.obs.metrics.MetricsRegistry` samples the cache at
-    every boundary, and the finished series is attached as
-    ``result.series``.  Window boundaries align with ``access_batch``
-    chunk boundaries — where every fast path flushes its locally
-    accumulated statistics — so batch and scalar execution produce
-    identical series (DESIGN.md §10).  With the default ``None`` the
-    loop below is byte-identical to the uninstrumented path.
+    ``options`` (a :class:`~repro.sim.config.RunOptions`) selects the
+    optional windowed series, the execution backend and the
+    capacity-flow ledger; the defaults run the uninstrumented path.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.CellTelemetry`)
     arms live status reporting: warm-up and measured phase spans plus
@@ -230,25 +222,6 @@ def run_trace(
     Telemetry only *observes* — it never touches scheme state, RNG
     draws or statistics, so results are byte-identical with it on or
     off (DESIGN.md §11).
-
-    ``backend`` selects the execution path: ``"python"`` (the scalar
-    oracle), ``"numpy"`` (the columnar kernel of
-    :mod:`repro.sim.columnar`), or ``"auto"``/``None`` which picks
-    numpy exactly when it is importable and the scheme has an exact
-    kernel.  The columnar path is bound by an exactness contract —
-    identical stats, manifest hashes, metric series and RNG stream —
-    so the choice never changes results, only wall-clock time
-    (DESIGN.md §13).  Schemes without a kernel run scalar regardless.
-
-    ``ledger=True`` attaches a streaming
-    :class:`~repro.obs.ledger.LedgerSink` before warm-up and seals it
-    into ``result.ledger`` after measurement: coupling episodes,
-    policy-swap windows, and the per-set capacity-flow account, with
-    conservation verified at close.  Enabling the tracer forces the
-    scalar access path (per-event clocks must be exact), so ledgered
-    runs trade throughput for the audit — but stay deterministic and
-    byte-identical across serial and parallel execution.  The default
-    ``False`` touches nothing and costs nothing.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(
@@ -265,7 +238,7 @@ def run_trace(
         raise ConfigError(f"trace {trace.name!r} is empty")
     warm = int(total * warmup_fraction)
     ledger_sink: Optional[LedgerSink] = None
-    if ledger:
+    if options.ledger:
         # Attach before anything reads cache.tracer: the backend
         # resolver below must see the enabled tracer and decline the
         # columnar kernel, and warm-up events belong in the episode
@@ -285,7 +258,7 @@ def run_trace(
     # Backend resolution and plan construction sit outside the timed
     # phases for the same reason as the geometry precompute: the plan
     # is a cached, static derivation, not simulation work.
-    resolved_backend = resolve_backend(backend, cache)
+    resolved_backend = resolve_backend(options.backend, cache)
     engine = None
     if resolved_backend == BACKEND_NUMPY:
         engine = make_engine(cache, trace, writes)
@@ -317,15 +290,15 @@ def run_trace(
         telemetry.phase_end("warmup", warm)
         telemetry.phase_start("measured", warm)
     phase_start = perf_counter()
+    metrics_window = options.metrics_window
     if metrics_window is None:
         drive(warm, total)
     else:
         # Windowed measurement: the registry samples counters/gauges at
-        # every boundary.  The registry constructor validates the window.
-        # The columnar engine substitutes a gauge source carrying the
-        # same stats object plus statically derived occupancy views, so
-        # the registry's own sampling code runs unmodified and the
-        # series stays byte-identical.
+        # every boundary.  The columnar engine substitutes a gauge
+        # source carrying the same stats object plus statically derived
+        # occupancy views, so the registry's own sampling code runs
+        # unmodified and the series stays byte-identical.
         registry = MetricsRegistry(window_length=metrics_window)
         position = warm
         while position < total:

@@ -69,7 +69,7 @@ def run_timeline(
     Unlike :func:`repro.sim.simulator.run_trace` there is no warm-up
     discard: the first window *shows* the cold start, which is part of
     what a timeline is for.  Per-set rows are not collected here (use
-    ``run_trace(..., metrics_window=N)`` for the heatmap payload); the
+    ``RunOptions(metrics_window=N)`` for the heatmap payload); the
     scalar series — counter deltas, derived rates and the cache's
     gauges — land directly in :attr:`Timeline.series`.
     """

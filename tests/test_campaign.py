@@ -8,6 +8,7 @@ artefacts, the corrupt-run-cache quarantine path, and the clean
 """
 
 import json
+import re
 import sys
 
 import pytest
@@ -428,6 +429,43 @@ class TestRunCampaign:
         assert "4 cells" in status and "4 done" in status
         with pytest.raises(CampaignError, match="no campaign journal"):
             campaign_status(tmp_path / "nowhere")
+
+
+# ----------------------------------------------------------------------
+# Single writer: one runner per campaign directory
+# ----------------------------------------------------------------------
+
+class TestSingleWriter:
+    @staticmethod
+    def _hold_lock(directory):
+        fcntl = pytest.importorskip("fcntl")
+        directory.mkdir(parents=True, exist_ok=True)
+        handle = open(directory / "campaign.lock", "a", encoding="utf-8")
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return handle
+
+    def test_second_runner_refused(self, tmp_path):
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        with self._hold_lock(directory):
+            with pytest.raises(CampaignError, match=re.escape(str(directory))):
+                run_campaign(spec_path, directory=directory)
+            # Refused before touching the journal.
+            assert not (directory / "campaign.jsonl").exists()
+        # Released with the descriptor: the directory runs normally.
+        assert run_campaign(spec_path, directory=directory).ok
+
+    def test_cli_exits_2_naming_the_directory(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, SMALL)
+        directory = tmp_path / "camp"
+        with self._hold_lock(directory):
+            code = main([
+                "campaign", "run", str(spec_path), "--dir", str(directory)
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert str(directory) in err
 
 
 # ----------------------------------------------------------------------

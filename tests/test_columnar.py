@@ -28,7 +28,7 @@ from repro.common.errors import ConfigError
 from repro.obs import RingBufferSink, Tracer
 from repro.resilience.harness import RetryPolicy, guarded_run
 from repro.sim import columnar
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.parallel import CellSpec, cell_cache_key
 from repro.sim.runner import run_matrix
 from repro.sim.simulator import run_trace
@@ -63,13 +63,15 @@ def semantic_state(cache):
     return out
 
 
-def both_backends(trace, geometry, scheme="lru", **kwargs):
+def both_backends(trace, geometry, scheme="lru", metrics_window=None,
+                  **kwargs):
     """Run ``trace`` through both backends on fresh caches."""
-    cache_py = make_scheme(scheme, geometry)
-    result_py = run_trace(cache_py, trace, backend="python", **kwargs)
-    cache_np = make_scheme(scheme, geometry)
-    result_np = run_trace(cache_np, trace, backend="numpy", **kwargs)
-    return cache_py, result_py, cache_np, result_np
+    def run(backend):
+        cache = make_scheme(scheme, geometry)
+        options = RunOptions(metrics_window=metrics_window, backend=backend)
+        return cache, run_trace(cache, trace, options=options, **kwargs)
+
+    return run("python") + run("numpy")
 
 
 def make_trace(addresses, writes=None, name="columnar-test"):
@@ -218,7 +220,8 @@ class TestBackendResolution:
     def test_invalid_backend_raises(self):
         trace = make_trace(random_addresses(GEOMETRY, 100))
         with pytest.raises(ConfigError):
-            run_trace(make_scheme("lru", GEOMETRY), trace, backend="cuda")
+            run_trace(make_scheme("lru", GEOMETRY), trace,
+                      options=RunOptions(backend="cuda"))
 
     def test_auto_picks_numpy_for_eligible_lru(self):
         trace = make_trace(random_addresses(GEOMETRY, 2_000))
@@ -246,7 +249,7 @@ class TestBackendResolution:
         # silently drop the event stream, so eligibility rejects it.
         trace = make_trace(random_addresses(GEOMETRY, 1_000))
         cache = make_scheme("lru", GEOMETRY, tracer=Tracer(RingBufferSink()))
-        result = run_trace(cache, trace, backend="numpy")
+        result = run_trace(cache, trace, options=RunOptions(backend="numpy"))
         assert result.backend == "python"
 
     def test_non_pristine_cache_falls_back(self):
@@ -284,7 +287,8 @@ class TestBackendResolution:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_trace(
-                make_scheme("lru", GEOMETRY), trace, backend="python"
+                make_scheme("lru", GEOMETRY), trace,
+                options=RunOptions(backend="python"),
             )
         assert result.backend == "python"
 
@@ -294,15 +298,18 @@ class TestPlanCaching:
 
     def test_plan_cached_per_geometry_and_reused(self):
         trace = make_trace(random_addresses(GEOMETRY, 3_000))
-        run_trace(make_scheme("lru", GEOMETRY), trace, backend="numpy")
+        run_trace(make_scheme("lru", GEOMETRY), trace,
+                  options=RunOptions(backend="numpy"))
         assert len(trace._columnar_plans) == 1
         plan = next(iter(trace._columnar_plans.values()))
-        run_trace(make_scheme("lru", GEOMETRY), trace, backend="numpy")
+        run_trace(make_scheme("lru", GEOMETRY), trace,
+                  options=RunOptions(backend="numpy"))
         assert next(iter(trace._columnar_plans.values())) is plan
 
     def test_pickle_drops_plans(self):
         trace = make_trace(random_addresses(GEOMETRY, 3_000))
-        run_trace(make_scheme("lru", GEOMETRY), trace, backend="numpy")
+        run_trace(make_scheme("lru", GEOMETRY), trace,
+                  options=RunOptions(backend="numpy"))
         clone = pickle.loads(pickle.dumps(trace))
         assert clone._columnar_plans == {}
         assert clone.addresses == trace.addresses
@@ -318,7 +325,7 @@ class TestOrchestrationThreading:
             trace,
             scheme="lru",
             base_seed=7,
-            backend="numpy",
+            options=RunOptions(backend="numpy"),
         )
         assert outcome.backend == "numpy"
 
@@ -340,7 +347,7 @@ class TestOrchestrationThreading:
             scheme="lru",
             base_seed=7,
             retry=RetryPolicy(max_attempts=2),
-            backend="numpy",
+            options=RunOptions(backend="numpy"),
         )
         assert len(attempts) == 2
         assert outcome.backend == "python"
@@ -354,10 +361,12 @@ class TestOrchestrationThreading:
             name="grid",
         )]
         matrix_py = run_matrix(
-            traces, ["lru", "dip"], scale=scale, backend="python"
+            traces, ["lru", "dip"], scale=scale,
+            options=RunOptions(backend="python"),
         )
         matrix_np = run_matrix(
-            traces, ["lru", "dip"], scale=scale, backend="numpy"
+            traces, ["lru", "dip"], scale=scale,
+            options=RunOptions(backend="numpy"),
         )
         table_py = matrix_py.metric_table(lambda result: result.mpki)
         table_np = matrix_np.metric_table(lambda result: result.mpki)
@@ -380,11 +389,11 @@ class TestOrchestrationThreading:
             return path
 
         plain = load_campaign_spec(write(base, "plain.json"))
-        assert plain.backend is None
+        assert plain.options.backend is None
         explicit = load_campaign_spec(
             write({**base, "backend": "numpy"}, "plain.json")
         )
-        assert explicit.backend == "numpy"
+        assert explicit.options.backend == "numpy"
         # Specs predating the backend key keep their journal digests:
         # only an explicit backend changes the digest payload.
         assert explicit.digest() != plain.digest()
@@ -398,7 +407,8 @@ class TestOrchestrationThreading:
         specs = [
             CellSpec(
                 index=0, scheme="lru", label="lru", trace=trace,
-                geometry=GEOMETRY, seed=7, backend=backend,
+                geometry=GEOMETRY, seed=7,
+                options=RunOptions(backend=backend),
             )
             for backend in (None, "python", "numpy")
         ]

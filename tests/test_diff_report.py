@@ -14,7 +14,7 @@ import pytest
 from repro.obs.diff import diff_results, sparkline
 from repro.obs.htmlreport import diff_to_html, render_run_html
 from repro.sim.cache import load_run, save_run
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
 
@@ -26,7 +26,7 @@ def run(scheme, benchmark="mcf", window=2_000, seed=7):
         benchmark, num_sets=SCALE.num_sets, length=SCALE.trace_length
     )
     cache = make_scheme(scheme, SCALE.geometry(), seed=seed)
-    return run_trace(cache, trace, metrics_window=window)
+    return run_trace(cache, trace, options=RunOptions(metrics_window=window))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,9 @@ class TestHtmlReport:
             num_sets=256, associativity=16, trace_length=12_000
         )
         cache = make_scheme("stem", scale.geometry(), seed=7)
-        result = run_trace(cache, trace, metrics_window=500)
+        result = run_trace(
+            cache, trace, options=RunOptions(metrics_window=500)
+        )
         html = render_run_html(result)
         # 256 sets x 18 windows bucket down to <= 64 rows.
         assert html.count("<rect") <= 64 * 128

@@ -35,7 +35,7 @@ from repro.obs.ledger import (
 )
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectingCache
 from repro.sim.cache import load_run, save_run
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.runner import run_matrix
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
@@ -51,7 +51,8 @@ KNOWN_REASONS = {
 def _ledgered(scheme, benchmark="mcf", length=40_000, seed=0xACE1):
     trace = make_benchmark_trace(benchmark, num_sets=64, length=length)
     cache = make_scheme(scheme, GEOMETRY, seed=seed)
-    return run_trace(cache, trace, warmup_fraction=0.0, ledger=True)
+    return run_trace(cache, trace, warmup_fraction=0.0,
+                     options=RunOptions(ledger=True))
 
 
 @pytest.fixture(scope="module")
@@ -380,7 +381,7 @@ class TestStemLedger:
         injector = FaultInjector(plan, len(trace), seed=11)
         result = run_trace(
             InjectingCache(cache, injector), trace,
-            warmup_fraction=0.0, ledger=True,
+            warmup_fraction=0.0, options=RunOptions(ledger=True),
         )
         ledger = result.ledger
         assert ledger is not None
@@ -467,9 +468,11 @@ class TestSerialParallelParity:
         )
         traces = [make_benchmark_trace("mcf", num_sets=64, length=12_000)]
         serial = run_matrix(traces, ("LRU", "STEM"), scale=scale,
-                            seed=5, ledger=True, max_workers=1)
+                            seed=5, options=RunOptions(ledger=True),
+                            max_workers=1)
         parallel = run_matrix(traces, ("LRU", "STEM"), scale=scale,
-                              seed=5, ledger=True, max_workers=2)
+                              seed=5, options=RunOptions(ledger=True),
+                              max_workers=2)
         for scheme in ("LRU", "STEM"):
             led_s = serial.ledger_for("mcf", scheme)
             led_p = parallel.ledger_for("mcf", scheme)

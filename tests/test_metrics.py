@@ -24,7 +24,7 @@ from repro.sim.cache import (
     result_to_dict,
     save_run,
 )
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.simulator import run_trace
 from repro.sim.timeline import run_timeline
 from repro.workloads.spec_like import make_benchmark_trace
@@ -55,7 +55,8 @@ def windowed(scheme, trace, window, seed=7, scalar=False, **kwargs):
     cache = make_scheme(scheme, SCALE.geometry(), seed=seed)
     if scalar:
         cache = ScalarOnly(cache)
-    return run_trace(cache, trace, metrics_window=window, **kwargs)
+    return run_trace(cache, trace, options=RunOptions(metrics_window=window),
+                     **kwargs)
 
 
 def fingerprint(series):
@@ -332,7 +333,7 @@ class TestPersistence:
         key = cell_cache_key(base)
         assert key is not None
         assert cell_cache_key(
-            replace(base, metrics_window=2_000)
+            replace(base, options=RunOptions(metrics_window=2_000))
         ) != key
 
     def test_cached_grid_preserves_series(self, tmp_path):
@@ -341,7 +342,7 @@ class TestPersistence:
         run_cache = RunCache(tmp_path / "runs")
         kwargs = dict(
             benchmarks=["vpr"], scale=SCALE, run_cache=run_cache,
-            metrics_window=2_000,
+            options=RunOptions(metrics_window=2_000),
         )
         first = run_benchmarks(["stem"], **kwargs)
         assert (run_cache.hits, run_cache.misses) == (0, 1)

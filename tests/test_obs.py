@@ -7,7 +7,6 @@ sensitivity), the inspection aggregates, and the profiler report.
 """
 
 import json
-from time import perf_counter
 
 import pytest
 
@@ -242,31 +241,34 @@ class TestNoOpOverhead:
         for name, values in counters.items():
             assert not any(values), f"{name} counted without a tracer"
 
-    def test_disabled_tracer_overhead_within_5_percent(self):
-        """Explicit no-op tracer vs. default on a 50k-access trace.
+    def test_disabled_tracer_never_reaches_emit(self, monkeypatch):
+        """A full STEM run on the default tracer makes zero emit calls.
 
-        Both caches run the byte-identical guarded path (the default
-        *is* a disabled tracer), so this bounds measurement noise and
-        would catch any future unguarded tracepoint.  Interleaved
-        rounds + min-of-N keep the assertion stable under CI jitter.
+        Every tracepoint sits behind an ``if tracer.enabled`` guard, so
+        the disabled path does no event work at all.  A counting
+        stand-in for :meth:`Tracer.emit` checks that structurally — one
+        unguarded tracepoint fails on its first call, with no timing
+        noise — and an explicit ``Tracer()`` run must produce the same
+        stats.  The wall-clock comparison of the two paths lives in
+        ``benchmarks/test_bench_tracer_overhead.py``.
         """
-        trace = make_benchmark_trace("omnetpp", num_sets=64,
-                                     length=50_000)
-        addresses = trace.addresses
-
-        def timed_run(tracer):
-            cache = StemCache(GEOMETRY, tracer=tracer)
-            access = cache.access
-            start = perf_counter()
-            for address in addresses:
-                access(address)
-            return perf_counter() - start
-
-        baseline, noop = [], []
-        for _ in range(5):
-            baseline.append(timed_run(None))
-            noop.append(timed_run(Tracer()))
-        assert min(noop) <= min(baseline) * 1.05
+        calls = []
+        monkeypatch.setattr(
+            Tracer, "emit", lambda tracer, event: calls.append(event)
+        )
+        trace = make_benchmark_trace("omnetpp", num_sets=64, length=50_000)
+        default = run_trace(make_scheme("STEM", GEOMETRY), trace)
+        explicit = run_trace(
+            make_scheme("STEM", GEOMETRY, tracer=Tracer()), trace
+        )
+        assert calls == []
+        assert default.stats.as_dict() == explicit.stats.as_dict()
+        # The stand-in is live: an enabled tracer does reach it.
+        run_trace(
+            make_scheme("STEM", GEOMETRY, tracer=Tracer(RingBufferSink())),
+            trace,
+        )
+        assert calls
 
 
 class TestManifest:

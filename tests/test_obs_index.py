@@ -16,7 +16,7 @@ from repro.obs.benchhistory import append_history, make_entry
 from repro.obs.index import ArtifactIndex
 from repro.sim.cache import save_run
 from repro.sim.campaign import run_campaign
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
 
@@ -28,7 +28,7 @@ def run(scheme, benchmark="mcf", window=2_000, seed=7):
         benchmark, num_sets=SCALE.num_sets, length=SCALE.trace_length
     )
     cache = make_scheme(scheme, SCALE.geometry(), seed=seed)
-    return run_trace(cache, trace, metrics_window=window)
+    return run_trace(cache, trace, options=RunOptions(metrics_window=window))
 
 
 @pytest.fixture(scope="module")

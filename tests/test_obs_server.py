@@ -19,7 +19,7 @@ import pytest
 from repro.obs.htmlreport import render_campaign_html, render_run_html
 from repro.obs.server import create_server
 from repro.sim.cache import save_run
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
 
@@ -33,7 +33,7 @@ def run(scheme, benchmark="mcf", window=2_000, seed=7):
         benchmark, num_sets=SCALE.num_sets, length=SCALE.trace_length
     )
     cache = make_scheme(scheme, SCALE.geometry(), seed=seed)
-    return run_trace(cache, trace, metrics_window=window)
+    return run_trace(cache, trace, options=RunOptions(metrics_window=window))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 import repro.sim.config as sim_config
 from repro.common.errors import ConfigError, SimulationError
 from repro.sim.cache import RunCache, result_from_dict, result_to_dict
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.parallel import CellSpec, ParallelRunner, cell_cache_key
 from repro.sim.runner import associativity_sweep, run_benchmarks, run_matrix
 from repro.sim.simulator import run_trace
@@ -172,7 +172,8 @@ class TestParallelEquivalence:
             return table
 
         serial = run_matrix(
-            traces, schemes, scale=SCALE, seed=5, metrics_window=1_000
+            traces, schemes, scale=SCALE, seed=5,
+            options=RunOptions(metrics_window=1_000),
         )
         reference = series_fingerprint(serial)
         assert len(serial.failures) == 2
@@ -184,7 +185,8 @@ class TestParallelEquivalence:
             else:
                 assert value is not None, (workload, scheme)
         parallel = run_matrix(
-            traces, schemes, scale=SCALE, seed=5, metrics_window=1_000,
+            traces, schemes, scale=SCALE, seed=5,
+            options=RunOptions(metrics_window=1_000),
             max_workers=4,
         )
         assert series_fingerprint(parallel) == reference
