@@ -90,7 +90,7 @@ class CacheStats:
 
 
 #: Every integer counter field, derived once from the dataclass so
-#: ``merge``/``as_dict`` (and the timeline's tracked set) can never
+#: ``merge``/``as_dict`` (and the metrics registry's tracked set) can never
 #: silently drop a newly added counter.
 _COUNTER_FIELDS: Tuple[str, ...] = tuple(
     spec.name for spec in fields(CacheStats) if spec.name != "extra"

@@ -20,9 +20,13 @@ Determinism contract
   :class:`~repro.sim.simulator.RunResult` (or structured
   :class:`~repro.sim.results.RunFailure`), and the parent merges
   results, profiler records, and failure lists in canonical cell order.
-* Crash tolerance is preserved: an isolated cell still runs through
+* Crash tolerance is preserved: every cell runs through
   :func:`~repro.resilience.harness.guarded_run` inside the worker, so a
   poisoned cell comes back as a ``RunFailure`` record, not a dead pool.
+  A caller that must stop on failure raises on the first ``RunFailure``
+  it reads back, as ``associativity_sweep`` does.
+* Pool workers watch their parent: a SIGKILLed grid process cannot shut
+  its pool down, so each worker exits on its own once it is orphaned.
 
 An optional :class:`~repro.sim.cache.RunCache` short-circuits cells
 whose content-addressed key already has a stored result; hits never
@@ -33,9 +37,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
-from time import perf_counter
+from time import perf_counter, sleep
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.cache.geometry import CacheGeometry
@@ -52,11 +58,17 @@ from repro.resilience.faults import FaultInjector, FaultPlan, InjectingCache
 from repro.resilience.harness import RetryPolicy, guarded_run
 from repro.sim.config import MachineConfig, RunOptions, make_scheme
 from repro.sim.results import RunFailure
-from repro.sim.simulator import RunResult, run_trace
+from repro.sim.simulator import RunResult
 from repro.workloads.trace import Trace
 
 #: One cell outcome: a finished run or a structured failure record.
 CellOutcome = Union[RunResult, RunFailure]
+
+#: Seconds between ``status.json`` refreshes while telemetry is armed.
+STATUS_INTERVAL = 1.0
+
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_SECONDS = 0.5
 
 
 @dataclass(frozen=True)
@@ -66,9 +78,8 @@ class CellSpec:
     ``scheme`` is the factory name handed to
     :func:`~repro.sim.config.make_scheme`; ``label`` is the name used in
     failure records (the runner passes e.g. ``"dip@8"`` for sweep
-    cells).  ``isolate`` selects between crash-tolerant
-    :func:`guarded_run` execution and fail-fast propagation, exactly
-    mirroring the serial runner's contract.
+    cells).  ``retry`` and ``watchdog_seconds`` go to
+    :func:`guarded_run`, which every cell runs through.
 
     ``fault_plan`` (compact :class:`~repro.resilience.faults.FaultPlan`
     text, e.g. ``"sc_s:2,trace:4"``) wraps the built scheme in an
@@ -89,7 +100,6 @@ class CellSpec:
     seed: int
     warmup_fraction: float = 0.25
     machine: Optional[MachineConfig] = None
-    isolate: bool = True
     retry: Optional[RetryPolicy] = None
     watchdog_seconds: Optional[float] = None
     fault_plan: Optional[str] = None
@@ -132,32 +142,6 @@ def _execute_cell(
             workload=spec.trace.name,
         )
     try:
-        if not spec.isolate:
-            if telemetry is not None:
-                telemetry.cell_start(
-                    total_accesses=len(spec.trace),
-                    seed=spec.seed,
-                    watchdog_seconds=spec.watchdog_seconds,
-                )
-            try:
-                cache = _build_cell_cache(spec, spec.seed)
-                result = run_trace(
-                    cache,
-                    spec.trace,
-                    warmup_fraction=spec.warmup_fraction,
-                    machine=spec.machine,
-                    options=spec.options,
-                    telemetry=telemetry,
-                )
-            except BaseException as exc:
-                if telemetry is not None:
-                    telemetry.cell_end(
-                        "failed", error_type=type(exc).__name__
-                    )
-                raise
-            if telemetry is not None:
-                telemetry.cell_end("ok")
-            return result
         return guarded_run(
             lambda seed: _build_cell_cache(spec, seed),
             spec.trace,
@@ -209,6 +193,24 @@ def cell_cache_key(spec: CellSpec) -> Optional[str]:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the worker is orphaned.
+
+    A SIGKILLed parent never shuts its pool down, and its workers would
+    block on the call queue forever.  Orphaning reparents a worker, so
+    a daemon thread polls ``os.getppid()`` and leaves via ``os._exit``
+    as soon as it differs from the parent the worker started under.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 class CellObserver:
     """No-op base for per-cell lifecycle callbacks.
 
@@ -254,10 +256,10 @@ class ParallelRunner:
     directory, plans every cell, ships a :class:`TelemetrySpec` into
     each worker (whose :class:`CellTelemetry` writes spans, heartbeats
     and resource samples), records completions, and refreshes the
-    machine-readable ``status.json`` at most every ``status_interval``
-    seconds — the surface ``repro top`` renders.  Telemetry never
-    influences outcomes: matrices are byte-identical with it on or off,
-    serial or parallel.
+    machine-readable ``status.json`` at most every
+    :data:`STATUS_INTERVAL` seconds — the surface ``repro top``
+    renders.  Telemetry never influences outcomes: matrices are
+    byte-identical with it on or off, serial or parallel.
     """
 
     def __init__(
@@ -266,7 +268,6 @@ class ParallelRunner:
         run_cache: Optional[Any] = None,
         profiler: Optional[RunProfiler] = None,
         telemetry_dir: Optional[Any] = None,
-        status_interval: float = 1.0,
         observer: Optional[CellObserver] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
@@ -277,7 +278,6 @@ class ParallelRunner:
         self.run_cache = run_cache
         self.profiler = profiler
         self.telemetry_dir = telemetry_dir
-        self.status_interval = status_interval
         self.observer = observer
 
     def run(self, specs: Sequence[CellSpec]) -> List[CellOutcome]:
@@ -345,7 +345,7 @@ class ParallelRunner:
                 "failed" if isinstance(outcome, RunFailure) else "ok",
             )
             now = perf_counter()
-            if now - last_status >= self.status_interval:
+            if now - last_status >= STATUS_INTERVAL:
                 last_status = now
                 self._write_status(grid)
 
@@ -365,7 +365,9 @@ class ParallelRunner:
                 results[position] = self._store(spec, key, outcome)
                 note_finished(spec, outcome, key)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_exit_with_parent
+            ) as pool:
                 futures = {}
                 for position, spec, key in pending:
                     if observer is not None:

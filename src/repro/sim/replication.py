@@ -4,8 +4,10 @@ The paper reports single deterministic runs (execution-driven
 simulation); our synthetic traces have a generator seed, so a careful
 reproduction should show that the headline comparisons are stable
 across seeds.  :func:`replicate` runs one (scheme, benchmark) pair
-under several trace seeds and returns summary statistics; the paper-
-claims tests use it to guard against seed-lottery conclusions.
+under several trace seeds and returns summary statistics, and
+:func:`compare_with_confidence` asks whether one scheme beats another
+on every seed (``tests/test_timeline_replication.py`` exercises both;
+the paper-claims tests do not use them).
 """
 
 from __future__ import annotations

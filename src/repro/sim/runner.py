@@ -5,14 +5,14 @@ All entry points accept an optional
 phase timings (already measured by :func:`run_trace`) into one report —
 the substrate behind the CLI's ``--profile`` flags.
 
-Grids are crash-tolerant by default: each (scheme, trace) cell runs
-through :func:`~repro.resilience.harness.guarded_run`, so one poisoned
-cell is recorded as a structured
-:class:`~repro.sim.results.RunFailure` in the matrix while the rest of
-the grid completes.  A :class:`~repro.resilience.harness.RetryPolicy`
-adds retry-with-reseed, and ``watchdog_seconds`` arms a per-run
-wall-clock deadline.  Pass ``isolate=False`` to restore fail-fast
-propagation (debugging a single cell).
+Grids are crash-tolerant: each (scheme, trace) cell runs through
+:func:`~repro.resilience.harness.guarded_run`, so one poisoned cell is
+recorded as a structured :class:`~repro.sim.results.RunFailure` in the
+matrix while the rest of the grid completes.  An associativity sweep
+runs every cell the same way and then raises for the first failed one,
+because its curves must stay index-aligned with the associativities.
+Retry-with-reseed and the per-run watchdog are set on campaign specs
+(:mod:`repro.sim.campaign`) or on :func:`guarded_run` directly.
 
 Every grid is expressed as a list of
 :class:`~repro.sim.parallel.CellSpec` cells and executed by a
@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.geometry import CacheGeometry
+from repro.common.errors import SimulationError
 from repro.obs.profile import RunProfiler
-from repro.resilience.harness import RetryPolicy
 from repro.sim.config import ExperimentScale, RunOptions
 from repro.sim.parallel import CellOutcome, CellSpec, ParallelRunner
 from repro.sim.results import ResultMatrix, RunFailure
@@ -41,17 +41,22 @@ from repro.workloads.trace import Trace
 
 def _run_cells(
     cells: Sequence[Tuple[str, str, Trace, CacheGeometry]],
-    runner: ParallelRunner,
-    **shared: Any,
+    scale: ExperimentScale,
+    seed: int,
+    options: RunOptions,
+    **runner_args: Any,
 ) -> List[CellOutcome]:
     """Run ``(scheme, label, trace, geometry)`` cells as one grid.
 
-    ``shared`` holds the :class:`CellSpec` fields every cell has in
-    common; cells are indexed in ``cells`` order.
+    Cells are indexed in ``cells`` order and share ``seed``,
+    ``options`` and ``scale``'s warm-up and machine; ``runner_args``
+    configure the :class:`ParallelRunner`.
     """
-    return runner.run([
+    return ParallelRunner(**runner_args).run([
         CellSpec(index=index, scheme=scheme, label=label, trace=trace,
-                 geometry=geometry, **shared)
+                 geometry=geometry, seed=seed,
+                 warmup_fraction=scale.warmup_fraction,
+                 machine=scale.machine, options=options)
         for index, (scheme, label, trace, geometry) in enumerate(cells)
     ])
 
@@ -62,9 +67,6 @@ def run_matrix(
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
     profiler: Optional[RunProfiler] = None,
-    isolate: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
     options: RunOptions = RunOptions(),
@@ -72,9 +74,8 @@ def run_matrix(
 ) -> ResultMatrix:
     """Run every scheme on every trace at one geometry.
 
-    With ``isolate`` (the default), a failing cell becomes a
-    :class:`RunFailure` in ``matrix.failures`` and the grid continues;
-    without it, the first exception propagates immediately.
+    A failing cell becomes a :class:`RunFailure` in ``matrix.failures``
+    and the grid continues.
 
     ``max_workers`` > 1 shards the cells across a process pool; the
     returned matrix is identical to the serial result on the same
@@ -93,11 +94,8 @@ def run_matrix(
             for trace in traces
             for scheme_name in schemes
         ],
-        ParallelRunner(max_workers=max_workers, run_cache=run_cache,
-                       profiler=profiler, telemetry_dir=telemetry_dir),
-        seed=seed, warmup_fraction=scale.warmup_fraction,
-        machine=scale.machine, isolate=isolate, retry=retry,
-        watchdog_seconds=watchdog_seconds, options=options,
+        scale, seed, options, max_workers=max_workers, run_cache=run_cache,
+        profiler=profiler, telemetry_dir=telemetry_dir,
     )
     matrix = ResultMatrix()
     for outcome in outcomes:
@@ -114,9 +112,6 @@ def run_benchmarks(
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
     profiler: Optional[RunProfiler] = None,
-    isolate: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
     options: RunOptions = RunOptions(),
@@ -134,10 +129,9 @@ def run_benchmarks(
         for name in names
     ]
     return run_matrix(traces, schemes, scale=scale, seed=seed,
-                      profiler=profiler, isolate=isolate, retry=retry,
-                      watchdog_seconds=watchdog_seconds,
-                      max_workers=max_workers, run_cache=run_cache,
-                      options=options, telemetry_dir=telemetry_dir)
+                      profiler=profiler, max_workers=max_workers,
+                      run_cache=run_cache, options=options,
+                      telemetry_dir=telemetry_dir)
 
 
 def associativity_sweep(
@@ -147,9 +141,6 @@ def associativity_sweep(
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
     profiler: Optional[RunProfiler] = None,
-    failures: Optional[List[RunFailure]] = None,
-    retry: Optional[RetryPolicy] = None,
-    watchdog_seconds: Optional[float] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
     options: RunOptions = RunOptions(),
@@ -161,10 +152,10 @@ def associativity_sweep(
     trace is reused across associativities — exactly how the paper
     varies capacity while holding the reference stream fixed.
 
-    Passing a ``failures`` list opts into per-run isolation: a failed
-    run is appended there (tagged ``scheme@assoc``) and skipped from
-    its curve rather than aborting the sweep.  Without it, curves must
-    stay index-aligned with ``associativities``, so errors propagate.
+    Curves stay index-aligned with ``associativities``: after the grid
+    completes, the first failed cell (tagged ``scheme@assoc``) raises
+    :class:`~repro.common.errors.SimulationError` carrying its
+    :class:`RunFailure` summary.
     """
     scale = scale if scale is not None else ExperimentScale.default()
     cells = [
@@ -174,17 +165,12 @@ def associativity_sweep(
         for scheme_name in schemes
     ]
     outcomes = _run_cells(
-        cells,
-        ParallelRunner(max_workers=max_workers, run_cache=run_cache,
-                       profiler=profiler, telemetry_dir=telemetry_dir),
-        seed=seed, warmup_fraction=scale.warmup_fraction,
-        machine=scale.machine, isolate=failures is not None, retry=retry,
-        watchdog_seconds=watchdog_seconds, options=options,
+        cells, scale, seed, options, max_workers=max_workers,
+        run_cache=run_cache, profiler=profiler, telemetry_dir=telemetry_dir,
     )
     curves: Dict[str, List[RunResult]] = {name: [] for name in schemes}
     for (scheme_name, *_), outcome in zip(cells, outcomes):
         if isinstance(outcome, RunFailure):
-            failures.append(outcome)
-            continue
+            raise SimulationError(str(outcome))
         curves[scheme_name].append(outcome)
     return curves

@@ -196,7 +196,6 @@ def run_trace(
     trace: Trace,
     warmup_fraction: float = 0.25,
     machine: Optional[MachineConfig] = None,
-    with_writes: bool = True,
     deadline_seconds: Optional[float] = None,
     options: RunOptions = RunOptions(),
     telemetry=None,
@@ -206,7 +205,9 @@ def run_trace(
     The first ``warmup_fraction`` of the accesses prime the cache; its
     statistics are then reset so the measured window starts warm, and
     the trace's instruction count is prorated onto that window so MPKI
-    stays comparable across warm-up choices.
+    stays comparable across warm-up choices.  With
+    ``warmup_fraction=0.0`` nothing is discarded, so a windowed series
+    shows the cold start in its first window.
 
     ``deadline_seconds`` arms a cooperative wall-clock watchdog over
     the whole run (warm-up plus measurement); exceeding it raises
@@ -254,7 +255,7 @@ def run_trace(
         set_indices, tags = trace.precompute_geometry(cache.mapper)
     else:
         set_indices = tags = None
-    writes = trace.writes if with_writes else None
+    writes = trace.writes
     # Backend resolution and plan construction sit outside the timed
     # phases for the same reason as the geometry precompute: the plan
     # is a cached, static derivation, not simulation work.

@@ -2,8 +2,9 @@
 
 Covers the registry's delta/gauge sampling, the batch==scalar series
 guarantee, exporters (JSONL + Prometheus text), ``run_trace`` series
-attachment, run-cache round-trips, the timeline refactor, and the
-monotonic ``global_access`` clock across the warm-up reset.
+attachment, run-cache round-trips, whole-trace series against a
+hand-driven registry oracle, and the monotonic ``global_access`` clock
+across the warm-up reset.
 """
 
 import json
@@ -24,9 +25,13 @@ from repro.sim.cache import (
     result_to_dict,
     save_run,
 )
-from repro.sim.config import ExperimentScale, RunOptions, make_scheme
+from repro.sim.config import (
+    PAPER_SCHEMES,
+    ExperimentScale,
+    RunOptions,
+    make_scheme,
+)
 from repro.sim.simulator import run_trace
-from repro.sim.timeline import run_timeline
 from repro.workloads.spec_like import make_benchmark_trace
 
 GEOMETRY = CacheGeometry(num_sets=64, associativity=16)
@@ -354,16 +359,24 @@ class TestPersistence:
 
 
 class TestTimelineRefactor:
-    def test_timeline_matches_registry_sampling(self):
+    """Whole-trace series come from ``run_trace``; a hand-driven
+    registry loop is the independent oracle."""
+
+    @staticmethod
+    def _timeline(cache, trace, window):
+        return run_trace(
+            cache, trace, warmup_fraction=0.0,
+            options=RunOptions(metrics_window=window),
+        ).series
+
+    @pytest.mark.parametrize("scheme", PAPER_SCHEMES)
+    def test_timeline_matches_registry_sampling(self, scheme):
         trace = small_trace(length=6_000)
-        timeline = run_timeline(
-            make_scheme("stem", GEOMETRY, seed=3), trace,
-            window_length=2_000,
+        series = self._timeline(
+            make_scheme(scheme, GEOMETRY, seed=3), trace, 2_000
         )
-        cache = make_scheme("stem", GEOMETRY, seed=3)
-        registry = MetricsRegistry(
-            window_length=2_000, include_per_set=False
-        )
+        cache = make_scheme(scheme, GEOMETRY, seed=3)
+        registry = MetricsRegistry(window_length=2_000)
         writes = trace.writes
         position = 0
         while position < len(trace.addresses):
@@ -374,21 +387,21 @@ class TestTimelineRefactor:
                 cache.access(trace.addresses[index], is_write)
             registry.sample(cache, stop - position)
             position = stop
-        assert timeline.series == registry.series
+        assert series.series == registry.series
+        assert series.set_series == registry.set_series
+        assert series.window_accesses == registry.window_accesses
 
     def test_timeline_includes_gauges(self):
-        timeline = run_timeline(
-            make_scheme("stem", GEOMETRY), small_trace(length=4_000),
-            window_length=1_000,
+        series = self._timeline(
+            make_scheme("stem", GEOMETRY), small_trace(length=4_000), 1_000
         )
-        assert "occupancy_fraction" in timeline.series
-        assert timeline.num_windows == 4
+        assert "occupancy_fraction" in series.series
+        assert series.num_windows == 4
 
     def test_timeline_rejects_bad_window(self):
         with pytest.raises(ConfigError):
-            run_timeline(
-                make_scheme("lru", GEOMETRY), small_trace(length=1_000),
-                window_length=0,
+            self._timeline(
+                make_scheme("lru", GEOMETRY), small_trace(length=1_000), 0
             )
 
 

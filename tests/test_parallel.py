@@ -1,6 +1,17 @@
 """Tests for the parallel grid engine, batch fast path, and run cache."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
+
+import repro
 
 import repro.sim.config as sim_config
 from repro.common.errors import ConfigError, SimulationError
@@ -288,3 +299,70 @@ class TestRunCache:
         )
         assert len(matrix.failures) == 1
         assert len(run_cache) == 0
+
+
+#: A 2-worker grid whose cells record their worker PID and then block,
+#: so the grid is still running when the test kills its process.
+_BLOCKING_GRID = textwrap.dedent("""
+    import multiprocessing, os, sys, time
+    import repro.sim.config as sim_config
+    from repro.sim.config import ExperimentScale
+    from repro.sim.runner import run_matrix
+    from repro.workloads.spec_like import make_benchmark_trace
+
+    pid_dir = sys.argv[1]
+
+    def blocking(geometry, seed=0, tracer=None, **kwargs):
+        open(os.path.join(pid_dir, str(os.getpid())), "w").close()
+        time.sleep(120)
+
+    multiprocessing.set_start_method("fork")
+    sim_config._SCHEME_FACTORIES["blocking"] = blocking
+    traces = [make_benchmark_trace(name, num_sets=16, length=1_000)
+              for name in ("vpr", "mcf")]
+    run_matrix(traces, ["blocking"], scale=ExperimentScale(num_sets=16),
+               max_workers=2)
+""")
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="reads worker state from /proc and forks its pool",
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_parent_is_killed(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        grid = subprocess.Popen(
+            [sys.executable, "-c", _BLOCKING_GRID, str(tmp_path)], env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(list(tmp_path.iterdir())) < 2:
+                assert grid.poll() is None, "grid exited before blocking"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+        finally:
+            grid.send_signal(signal.SIGKILL)
+            grid.wait(timeout=10)
+        workers = [int(path.name) for path in tmp_path.iterdir()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in workers):
+            if time.monotonic() > deadline:
+                for pid in workers:
+                    if _running(pid):
+                        os.kill(pid, signal.SIGKILL)
+                pytest.fail(f"orphaned pool workers {workers} outlived "
+                            "their killed parent")
+            time.sleep(0.1)

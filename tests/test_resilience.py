@@ -309,21 +309,8 @@ class TestGridIsolation:
         with pytest.raises(ConfigError, match="SimulationError"):
             matrix.get("omnetpp", "boom")
 
-    def test_isolate_false_propagates(self, monkeypatch):
-        monkeypatch.setitem(
-            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
-        )
-        with pytest.raises(SimulationError, match="poisoned"):
-            run_matrix(
-                [small_trace(length=2_000)], ["boom"],
-                scale=SCALE, isolate=False,
-            )
-
-    def test_sweep_skips_failed_runs(self, monkeypatch):
-        calls = {"n": 0}
-
+    def test_poisoned_sweep_raises_naming_the_cell(self, monkeypatch):
         def sometimes(geometry, seed=0xACE1, tracer=None, **kwargs):
-            calls["n"] += 1
             if geometry.associativity == 8:
                 raise SimulationError("bad geometry")
             return sim_config._SCHEME_FACTORIES["lru"](geometry, seed=seed)
@@ -331,14 +318,12 @@ class TestGridIsolation:
         monkeypatch.setitem(
             sim_config._SCHEME_FACTORIES, "flaky", sometimes
         )
-        failures = []
-        curves = associativity_sweep(
-            small_trace(length=2_000), ["flaky"], [4, 8, 16],
-            scale=SCALE, failures=failures,
-        )
-        assert len(curves["flaky"]) == 2
-        assert len(failures) == 1
-        assert failures[0].scheme == "flaky@8"
+        with pytest.raises(SimulationError, match="flaky@8") as caught:
+            associativity_sweep(
+                small_trace(length=2_000), ["flaky"], [4, 8, 16],
+                scale=SCALE,
+            )
+        assert "bad geometry" in str(caught.value)
 
     def test_run_failure_as_dict_and_str(self):
         failure = RunFailure(

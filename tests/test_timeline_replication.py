@@ -1,17 +1,24 @@
-"""Tests for windowed timelines and multi-seed replication."""
+"""Tests for windowed series from ``run_trace`` and multi-seed replication."""
 
 import pytest
 
-from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.sim.config import ExperimentScale, make_scheme
+from repro.sim.config import ExperimentScale, RunOptions, make_scheme
 from repro.sim.replication import compare_with_confidence, replicate
-from repro.sim.timeline import run_timeline
+from repro.sim.simulator import run_trace
 from repro.workloads.mixes import phased_trace
 from repro.workloads.generators import SetGroupSpec, WorkloadSpec
-from repro.workloads.spec_like import BENCHMARKS, make_benchmark_trace
+from repro.workloads.spec_like import make_benchmark_trace
 
 SMALL = ExperimentScale(num_sets=32, associativity=8, trace_length=10_000)
+
+
+def timeline(cache, trace, window_length):
+    """Whole-trace windowed run: no warm-up, so window 0 is the cold start."""
+    return run_trace(
+        cache, trace, warmup_fraction=0.0,
+        options=RunOptions(metrics_window=window_length),
+    )
 
 
 class TestTimeline:
@@ -19,28 +26,31 @@ class TestTimeline:
         cache = make_scheme("LRU", SMALL.geometry())
         trace = make_benchmark_trace("vpr", num_sets=32, length=1000)
         with pytest.raises(ConfigError):
-            run_timeline(cache, trace, window_length=0)
+            timeline(cache, trace, window_length=0)
 
     def test_window_count_and_shape(self):
         cache = make_scheme("LRU", SMALL.geometry())
         trace = make_benchmark_trace("vpr", num_sets=32, length=2500)
-        timeline = run_timeline(cache, trace, window_length=1000)
-        assert timeline.num_windows == 3  # 1000, 1000, 500
-        assert len(timeline.series["misses"]) == 3
-        assert timeline.scheme == "LRU"
+        series = timeline(cache, trace, window_length=1000).series
+        assert series.num_windows == 3  # 1000, 1000, 500
+        assert series.window_accesses == [1000, 1000, 500]
+        assert len(series.series["misses"]) == 3
+        assert series.scheme == "LRU"
 
     def test_deltas_sum_to_totals(self):
         cache = make_scheme("STEM", SMALL.geometry())
         trace = make_benchmark_trace("mcf", num_sets=32, length=4000)
-        timeline = run_timeline(cache, trace, window_length=1000)
-        assert sum(timeline.series["misses"]) == cache.stats.misses
-        assert sum(timeline.series["spills"]) == cache.stats.spills
+        series = timeline(cache, trace, window_length=1000).series.series
+        assert sum(series["accesses"]) == len(trace)
+        assert sum(series["misses"]) == cache.stats.misses
+        assert sum(series["spills"]) == cache.stats.spills
 
     def test_cold_start_visible_in_first_window(self):
         cache = make_scheme("LRU", SMALL.geometry())
         trace = make_benchmark_trace("gromacs", num_sets=32, length=6000)
-        timeline = run_timeline(cache, trace, window_length=1000)
-        rates = timeline.series["miss_rate"]
+        rates = timeline(cache, trace, window_length=1000).series.series[
+            "miss_rate"
+        ]
         assert rates[0] > rates[-1]
 
     def test_phase_change_spikes_miss_rate(self):
@@ -58,18 +68,29 @@ class TestTimeline:
             [quiet, storm], phase_length=4000, num_sets=32
         )
         cache = make_scheme("LRU", SMALL.geometry())
-        timeline = run_timeline(cache, trace, window_length=1000)
+        rates = timeline(cache, trace, window_length=1000).series.series[
+            "miss_rate"
+        ]
         # The worst window must fall in the storm phase.
-        assert timeline.peak_window() >= 4
+        assert max(range(len(rates)), key=rates.__getitem__) >= 4
 
     def test_window_mpki(self):
+        # Per-window misses over the prorated instruction count add up
+        # to the run's MPKI when nothing is discarded as warm-up.
         cache = make_scheme("LRU", SMALL.geometry())
         trace = make_benchmark_trace("mcf", num_sets=32, length=3000)
-        timeline = run_timeline(cache, trace, window_length=1000)
+        result = timeline(cache, trace, window_length=1000)
         ipa = trace.metadata.instructions / len(trace)
-        mpki = timeline.window_mpki(ipa)
-        assert len(mpki) == timeline.num_windows
+        series = result.series
+        mpki = [
+            misses * 1000.0 / (accesses * ipa)
+            for misses, accesses in zip(
+                series.series["misses"], series.window_accesses
+            )
+        ]
+        assert len(mpki) == series.num_windows
         assert all(value >= 0 for value in mpki)
+        assert sum(mpki) / len(mpki) == pytest.approx(result.mpki, rel=1e-3)
 
 
 class TestReplication:
