@@ -309,6 +309,39 @@ class TestGridIsolation:
         with pytest.raises(ConfigError, match="SimulationError"):
             matrix.get("omnetpp", "boom")
 
+    def test_isolate_false_propagates(self, monkeypatch):
+        # A sweep keeps no failure list, so a poisoned cell's error
+        # reaches the caller, carrying the factory's message.
+        monkeypatch.setitem(
+            sim_config._SCHEME_FACTORIES, "boom", _poisoned_factory
+        )
+        with pytest.raises(SimulationError, match="poisoned"):
+            associativity_sweep(
+                small_trace(length=2_000), ["boom"], [4, 8],
+                scale=SCALE,
+            )
+
+    def test_sweep_skips_failed_runs(self, monkeypatch):
+        # Cells run isolated: the failed associativity-8 cell does not
+        # stop the 16-way cell from running before the sweep raises.
+        attempted = []
+
+        def sometimes(geometry, seed=0xACE1, tracer=None, **kwargs):
+            attempted.append(geometry.associativity)
+            if geometry.associativity == 8:
+                raise SimulationError("bad geometry")
+            return sim_config._SCHEME_FACTORIES["lru"](geometry, seed=seed)
+
+        monkeypatch.setitem(
+            sim_config._SCHEME_FACTORIES, "flaky", sometimes
+        )
+        with pytest.raises(SimulationError, match="flaky@8"):
+            associativity_sweep(
+                small_trace(length=2_000), ["flaky"], [4, 8, 16],
+                scale=SCALE,
+            )
+        assert {4, 8, 16} <= set(attempted)
+
     def test_poisoned_sweep_raises_naming_the_cell(self, monkeypatch):
         def sometimes(geometry, seed=0xACE1, tracer=None, **kwargs):
             if geometry.associativity == 8:
