@@ -11,8 +11,9 @@ entry to ``BENCH_HISTORY.jsonl`` — schemes with their accesses/sec and
 run-manifest hashes (provenance: a rate is only comparable when the
 workload hash matches), plus the machine parameters that make
 cross-entry comparison honest (platform, Python version, CPU count,
-package version).  The file is append-only JSONL, so history survives
-re-records and merges cleanly.
+package version).  The file is an append-only log written through
+:class:`~repro.common.io.JsonlLog` (fsynced per entry), so history
+survives re-records, interrupted recorders and merges.
 
 On top of the ledger sit:
 
@@ -25,7 +26,6 @@ On top of the ledger sit:
 
 from __future__ import annotations
 
-import json
 import platform
 import os
 from dataclasses import dataclass
@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro._version import __version__
 from repro.common.errors import ConfigError
+from repro.common.io import JsonlLog, read_jsonl
 
 #: Trailing entries (excluding the latest) a regression check uses as
 #: its reference window.
@@ -89,44 +90,28 @@ def make_entry(
 def append_history(
     path: Union[str, Path], entry: Dict[str, Any]
 ) -> Path:
-    """Append one entry to the ledger (one JSON line, flushed)."""
+    """Append one entry to the ledger (one JSON line, fsynced)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    with JsonlLog(path, durable=True) as ledger:
+        ledger.append(entry)
     return path
 
 
 def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Read the ledger, oldest first; a missing file is empty history.
 
-    A malformed *final* line (a recorder killed mid-append) is dropped
-    with the same tolerance the event-log reader applies; a malformed
-    line anywhere else is corruption and raises.
+    A malformed *final* line (a recorder killed mid-append) is dropped;
+    a malformed line anywhere else is corruption and raises.
     """
     path = Path(path)
     if not path.is_file():
         return []
-    entries: List[Dict[str, Any]] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    content = [
-        (number, line) for number, line in enumerate(lines, start=1)
-        if line.strip()
-    ]
-    for position, (number, line) in enumerate(content):
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if position == len(content) - 1:
-                break
-            raise ConfigError(
-                f"{path}:{number}: malformed ledger line"
-            ) from exc
-        if isinstance(entry, dict):
-            entries.append(entry)
-    return entries
+    records, bad = read_jsonl(path)
+    if bad and (not records or bad[-1] > records[-1][0]):
+        bad.pop()  # torn final line
+    if bad:
+        raise ConfigError(f"{path}:{bad[0]}: malformed ledger line")
+    return [entry for _, entry in records]
 
 
 def scheme_trajectories(

@@ -10,8 +10,7 @@ stopped) long before the in-worker
 
 The aggregator only ever reads; it is safe to run concurrently with the
 grid it observes (``repro top``), from another process, or after the
-fact.  Torn final lines — live writers, crashed workers — are
-tolerated, mirroring ``load_events(strict=False)``.
+fact.
 
 Cell states
 -----------
@@ -38,6 +37,9 @@ from repro.obs.telemetry import CELLS_DIR, read_status_lines
 
 #: Heartbeat age (seconds) after which a running cell is called stalled.
 DEFAULT_STALL_AFTER = 5.0
+
+#: Cell rows ``repro top`` shows before collapsing the rest.
+TOP_MAX_ROWS = 40
 
 
 @dataclass
@@ -403,7 +405,7 @@ def _format_bar(progress: float, width: int = 20) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def render_top(status: FleetStatus, max_rows: int = 40) -> str:
+def render_top(status: FleetStatus) -> str:
     """The ``repro top`` text view of one FleetStatus snapshot.
 
     Finished cells collapse into the summary line; live, stalled,
@@ -429,7 +431,7 @@ def render_top(status: FleetStatus, max_rows: int = 40) -> str:
     order = {"stalled": 0, "failed": 1, "running": 2, "pending": 3}
     rows = [cell for cell in status.cells if cell.state in order]
     rows.sort(key=lambda cell: (order[cell.state], cell.index))
-    shown = rows[:max_rows]
+    shown = rows[:TOP_MAX_ROWS]
     if shown:
         lines.append("")
         lines.append(

@@ -4,6 +4,8 @@
 them) for in-process analysis; :class:`JsonlSink` streams events to a
 newline-delimited-JSON file that :func:`load_events` reads back into
 typed events — the archival format the ``repro trace`` command writes.
+Reading goes through the shared JSON-lines parser,
+:func:`~repro.common.io.read_jsonl`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 from typing import Deque, List, Optional, TextIO, Tuple, Union
 
 from repro.common.errors import ConfigError
+from repro.common.io import read_jsonl
 from repro.obs.events import TraceEvent, event_from_dict
 
 
@@ -172,22 +175,14 @@ def load_events_report(
     skipped — the first unreadable line raises instead — so the report
     form only adds information with ``strict=False``.
     """
+    records, skipped = read_jsonl(path)
     events: List[TraceEvent] = []
-    skipped: List[int] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_number, record in records:
         try:
-            record = json.loads(line)
             events.append(event_from_dict(record))
-        except (json.JSONDecodeError, ConfigError, TypeError) as exc:
-            if not strict:
-                skipped.append(line_number)
-                continue
-            raise ConfigError(
-                f"{path}:{line_number}: malformed event line"
-            ) from exc
+        except (ConfigError, TypeError):
+            skipped.append(line_number)
+    skipped.sort()
+    if strict and skipped:
+        raise ConfigError(f"{path}:{skipped[0]}: malformed event line")
     return events, skipped

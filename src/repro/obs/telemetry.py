@@ -39,28 +39,27 @@ per second regardless of simulation speed.  Telemetry never touches
 scheme state, RNG draws, or statistics — results are byte-identical
 with it on or off.
 
-Crash behaviour: status files are appended line-by-line and flushed per
-event, and writers register an ``atexit`` flush, so a dying worker
-loses at most one truncated final line — which the reader tolerates,
-mirroring ``load_events(strict=False)``.
+Crash behaviour: status files are append-only logs written through
+:class:`~repro.common.io.JsonlLog`, flushed per event (not fsynced);
+see :mod:`repro.common.io` for the torn-tail and one-writer rules.
 """
 
 from __future__ import annotations
 
-import atexit
 import gc
-import json
 import os
 import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 try:  # resource is POSIX-only; telemetry degrades gracefully without it
     import resource
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
+
+from repro.common.io import JsonlLog, read_jsonl
 
 #: Subdirectory of the run dir holding per-cell status files.
 CELLS_DIR = "cells"
@@ -138,45 +137,8 @@ class TelemetrySpec:
     heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS
 
 
-class _JsonlAppender:
-    """Append-one-JSON-line-per-event file with per-event flush.
-
-    Opened lazily in append mode so retries and parent/worker handoffs
-    never truncate earlier records; registers an ``atexit`` close so a
-    worker that exits without unwinding still flushes its tail.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: Optional[TextIO] = None
-
-    def _ensure_open(self) -> TextIO:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-            atexit.register(self.close)
-        return self._handle
-
-    def append(self, record: Dict[str, Any]) -> None:
-        handle = self._ensure_open()
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            atexit.unregister(self.close)
-
-    def __enter__(self) -> "_JsonlAppender":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class CellTelemetry:
-    """Worker-side status writer for one grid cell.
+class CellTelemetry(JsonlLog):
+    """Worker-side status log for one grid cell.
 
     Emits the cell span, nested phase spans, throttled heartbeats with
     resource samples, retry attempts and the final verdict into the
@@ -197,19 +159,16 @@ class CellTelemetry:
         self.label = label
         self.workload = workload
         self.span_id = cell_span_id(spec.grid_span, index)
-        self._writer = _JsonlAppender(cell_status_path(spec.run_dir, index))
+        super().__init__(cell_status_path(spec.run_dir, index))
         self._phase: Optional[str] = None
         self._last_beat_time = 0.0
         self._last_beat_accesses = 0
 
     def _emit(self, kind: str, **fields: Any) -> None:
-        record = {
-            "kind": kind,
-            "cell": self.index,
-            "t": round(time.time(), 6),
-        }
-        record.update(fields)
-        self._writer.append(record)
+        self.append({
+            "kind": kind, "cell": self.index, "t": round(time.time(), 6),
+            **fields,
+        })
 
     def cell_start(
         self,
@@ -285,19 +244,9 @@ class CellTelemetry:
             **resource_sample(),
         )
 
-    def close(self) -> None:
-        """Flush and close the status file (idempotent)."""
-        self._writer.close()
 
-    def __enter__(self) -> "CellTelemetry":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class GridTelemetry:
-    """Parent-side writer for the grid span and per-cell bookkeeping.
+class GridTelemetry(JsonlLog):
+    """Parent-side log of the grid span and per-cell bookkeeping.
 
     The :class:`~repro.sim.parallel.ParallelRunner` opens one of these
     when a run directory is supplied: it plans every cell up front (so
@@ -306,26 +255,16 @@ class GridTelemetry:
     worker reports back.
     """
 
-    def __init__(
-        self,
-        run_dir: Union[str, Path],
-        heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
-    ) -> None:
+    def __init__(self, run_dir: Union[str, Path]) -> None:
         self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / CELLS_DIR).mkdir(exist_ok=True)
         self.grid_span = new_grid_span_id()
         self.spec = TelemetrySpec(
-            run_dir=str(self.run_dir),
-            grid_span=self.grid_span,
-            heartbeat_seconds=heartbeat_seconds,
+            run_dir=str(self.run_dir), grid_span=self.grid_span
         )
-        self._writer = _JsonlAppender(self.run_dir / "grid.jsonl")
+        super().__init__(self.run_dir / "grid.jsonl")
 
     def _emit(self, kind: str, **fields: Any) -> None:
-        record = {"kind": kind, "t": round(time.time(), 6)}
-        record.update(fields)
-        self._writer.append(record)
+        self.append({"kind": kind, "t": round(time.time(), 6), **fields})
 
     def grid_start(self, total_cells: int) -> None:
         """Open the grid span."""
@@ -367,44 +306,18 @@ class GridTelemetry:
         """Close the grid span."""
         self._emit("grid_end", span_id=self.grid_span)
 
-    def close(self) -> None:
-        """Flush and close the grid file (idempotent)."""
-        self._writer.close()
-
-    def __enter__(self) -> "GridTelemetry":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 def read_status_lines(
     path: Union[str, Path]
 ) -> Tuple[List[Dict[str, Any]], bool]:
-    """Parse one append-only status file, tolerating a torn tail.
+    """Parse one status file, skipping every unreadable line.
 
-    Returns ``(records, truncated)``.  A malformed **final** line is
-    the signature of a process killed mid-write and is silently
-    dropped (``truncated=True``); a malformed line anywhere else is
-    skipped too — the aggregator must never crash on a live, half
-    written channel.
+    Returns ``(records, truncated)``; ``truncated`` is True when any
+    line was skipped — the aggregator must never crash on a live, half
+    written channel.  An unreadable file reads as empty.
     """
-    records: List[Dict[str, Any]] = []
-    truncated = False
     try:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        records, bad = read_jsonl(path)
     except OSError:
-        return records, truncated
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            truncated = True
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records, truncated
+        return [], False
+    return [record for _, record in records], bool(bad)

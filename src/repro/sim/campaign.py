@@ -14,11 +14,9 @@ contract (DESIGN.md §12):
   ``campaign.jsonl`` — ``cell_start`` when a cell is handed to a
   worker, ``cell_done`` (with the result's content digest and cache
   key) or ``cell_failed`` (with the structured
-  :class:`~repro.sim.results.RunFailure`) when it lands.  Each record
-  is flushed **and fsynced** before the campaign moves on, so a
-  ``SIGKILL`` at any instant loses at most one torn trailing line —
-  which replay tolerates, exactly like
-  :func:`~repro.obs.sinks.load_events` with ``strict=False``.
+  :class:`~repro.sim.results.RunFailure`) when it lands.  The journal
+  is a durable :class:`~repro.common.io.JsonlLog` (fsynced per
+  record); see :mod:`repro.common.io` for its torn-tail rule.
 * ``run_campaign`` *resumes by default*: it replays the journal, serves
   completed cells from the run cache (verifying the journaled digest),
   keeps journaled failures quarantined without re-running them, and
@@ -61,7 +59,7 @@ from repro.common.errors import (
     ConfigError,
     ReproError,
 )
-from repro.common.io import atomic_write_text
+from repro.common.io import JsonlLog, atomic_write_text, read_jsonl
 from repro.obs.htmlreport import render_campaign_html
 from repro.obs.profile import RunProfiler
 from repro.resilience.faults import FaultPlan
@@ -543,96 +541,36 @@ def result_digest(result: RunResult) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class CampaignJournal:
-    """Append-only ``campaign.jsonl`` writer with per-record durability.
-
-    Every record is one JSON line, flushed *and fsynced* before
-    :meth:`append` returns: after a crash the journal is complete up to
-    the final record, which at worst is torn mid-line — a state
-    :func:`load_journal` tolerates.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._handle: Optional[TextIO] = None
-
-    def append(self, kind: str, **fields: Any) -> None:
-        record: Dict[str, Any] = {"kind": kind}
-        record.update(fields)
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def _trim_torn_tail(path: Path) -> None:
-    """Drop a torn final line so the next append starts a clean record.
-
-    Safe by construction: the torn record was never fsynced to
-    completion, so nothing ever acknowledged it — and without the trim,
-    appending would concatenate the next record onto the torn bytes and
-    turn tolerable tail damage into mid-file corruption.
-    """
-    data = path.read_bytes()
-    keep = data.rfind(b"\n") + 1
-    with path.open("r+b") as handle:
-        handle.truncate(keep)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
 def load_journal(
     path: Union[str, Path]
 ) -> Tuple[List[Dict[str, Any]], bool]:
     """Read journal records, tolerating a torn final line.
 
     Returns ``(records, truncated)``; ``truncated`` is True when the
-    last line was not valid JSON — the signature of a crash mid-append,
-    which per-record fsync guarantees is the *only* possible damage.  A
-    malformed line anywhere else is real corruption and raises
-    :class:`~repro.common.errors.CampaignError`.  A missing journal
-    reads as empty.
+    last line is not a JSON object — the signature of a crash
+    mid-append, which per-record fsync guarantees is the *only*
+    possible damage.  A bad line anywhere else is real corruption and
+    raises :class:`~repro.common.errors.CampaignError`.  A missing
+    journal reads as empty.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        records, bad = read_jsonl(path)
     except FileNotFoundError:
         return [], False
     except OSError as exc:
         raise CampaignError(
             f"cannot read campaign journal {path}: {exc}"
         ) from exc
-    records: List[Dict[str, Any]] = []
-    lines = text.splitlines()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-        except ValueError as exc:
-            if number == len(lines):
-                return records, True
-            raise CampaignError(
-                f"campaign journal {path} line {number} is corrupt "
-                f"(not torn-tail damage): {exc}"
-            ) from exc
-        records.append(record)
-    return records, False
+    truncated = bool(bad) and (not records or bad[-1] > records[-1][0])
+    if truncated:
+        bad.pop()
+    if bad:
+        raise CampaignError(
+            f"campaign journal {path} line {bad[0]} is corrupt "
+            f"(not torn-tail damage)"
+        )
+    return [record for _, record in records], truncated
 
 
 @dataclass
@@ -688,17 +626,15 @@ def replay_journal(path: Union[str, Path]) -> JournalState:
 class _JournalObserver(CellObserver):
     """Streams runner lifecycle callbacks into the campaign journal."""
 
-    def __init__(
-        self, journal: CampaignJournal, cell_ids: Dict[int, str]
-    ) -> None:
+    def __init__(self, journal: JsonlLog, cell_ids: Dict[int, str]) -> None:
         self.journal = journal
         self.cell_ids = cell_ids
 
     def cell_started(self, spec: CellSpec) -> None:
-        self.journal.append(
-            "cell_start", cell=spec.index,
-            id=self.cell_ids.get(spec.index, spec.label),
-        )
+        self.journal.append({
+            "kind": "cell_start", "cell": spec.index,
+            "id": self.cell_ids.get(spec.index, spec.label),
+        })
 
     def cell_finished(
         self,
@@ -709,15 +645,15 @@ class _JournalObserver(CellObserver):
     ) -> None:
         cell_id = self.cell_ids.get(spec.index, spec.label)
         if isinstance(outcome, RunFailure):
-            self.journal.append(
-                "cell_failed", cell=spec.index, id=cell_id,
-                failure=outcome.as_dict(),
-            )
+            self.journal.append({
+                "kind": "cell_failed", "cell": spec.index, "id": cell_id,
+                "failure": outcome.as_dict(),
+            })
         else:
-            self.journal.append(
-                "cell_done", cell=spec.index, id=cell_id,
-                key=key, digest=result_digest(outcome), cached=cached,
-            )
+            self.journal.append({
+                "kind": "cell_done", "cell": spec.index, "id": cell_id,
+                "key": key, "digest": result_digest(outcome), "cached": cached,
+            })
 
 
 def _failure_from_record(record: Dict[str, Any]) -> RunFailure:
@@ -946,8 +882,6 @@ def run_campaign(
             journal_path.unlink()
         cells = build_cells(spec)
         state = replay_journal(journal_path)
-        if state.truncated:
-            _trim_torn_tail(journal_path)
         digest = spec.digest()
         if state.spec_digest is not None and state.spec_digest != digest:
             raise CampaignError(
@@ -989,14 +923,17 @@ def run_campaign(
             pending.append(cell.spec)
 
         cell_ids = {cell.spec.index: cell.cell_id for cell in cells}
-        with CampaignJournal(journal_path) as journal:
+        with JsonlLog(journal_path, durable=True) as journal:
             if state.records == 0:
-                journal.append(
-                    "campaign_start", format=JOURNAL_FORMAT, name=spec.name,
-                    spec_digest=digest, total_cells=len(cells),
-                )
+                journal.append({
+                    "kind": "campaign_start", "format": JOURNAL_FORMAT,
+                    "name": spec.name, "spec_digest": digest,
+                    "total_cells": len(cells),
+                })
             else:
-                journal.append("campaign_resume", pending=len(pending))
+                journal.append(
+                    {"kind": "campaign_resume", "pending": len(pending)}
+                )
             if pending:
                 runner = ParallelRunner(
                     max_workers=jobs,
@@ -1013,11 +950,11 @@ def run_campaign(
                             cell_id=cell_ids[cell_spec.index],
                             failure=outcome,
                         )
-            journal.append(
-                "campaign_end",
-                completed=len(cells) - len(quarantined),
-                quarantined=sorted(quarantined),
-            )
+            journal.append({
+                "kind": "campaign_end",
+                "completed": len(cells) - len(quarantined),
+                "quarantined": sorted(quarantined),
+            })
 
         matrix = ResultMatrix()
         for cell, outcome in zip(cells, outcomes):

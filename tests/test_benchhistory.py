@@ -57,6 +57,26 @@ class TestLedger:
         history = load_history(path)
         assert len(history) == 1
 
+    @pytest.mark.parametrize("before, fragment", [
+        (1, '{"recorded_at": "2026-'),
+        # Longer than one backward read: the newline search spans chunks.
+        (1, '{"note": "' + "x" * 10_000),
+        # No newline anywhere: the whole file is one torn record.
+        (0, '{"recorded_at": "2026-'),
+    ], ids=["short", "multi-chunk", "only-torn"])
+    def test_append_after_torn_line_keeps_every_entry(
+        self, tmp_path, before, fragment
+    ):
+        path = tmp_path / "h.jsonl"
+        entries = [entry({"lru": rate}) for rate in (100.0, 110.0, 120.0)]
+        for acknowledged in entries[:before]:
+            append_history(path, acknowledged)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(fragment)  # recorder killed mid-append
+        for acknowledged in entries[before:]:
+            append_history(path, acknowledged)
+        assert load_history(path) == entries
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text(

@@ -20,11 +20,10 @@ from repro.common.errors import (
     ConfigError,
     ReproError,
 )
-from repro.common.io import atomic_write, atomic_write_text
+from repro.common.io import JsonlLog, atomic_write, atomic_write_text
 from repro.obs.profile import RunProfiler
 from repro.sim.cache import RunCache
 from repro.sim.campaign import (
-    CampaignJournal,
     build_cells,
     campaign_status,
     load_campaign_spec,
@@ -236,10 +235,11 @@ class TestBuildCells:
 class TestJournal:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        with CampaignJournal(path) as journal:
-            journal.append("campaign_start", total_cells=2)
-            journal.append("cell_start", cell=0, id="a")
-            journal.append("cell_done", cell=0, id="a", digest="d", key="k")
+        with JsonlLog(path, durable=True) as journal:
+            journal.append({"kind": "campaign_start", "total_cells": 2})
+            journal.append({"kind": "cell_start", "cell": 0, "id": "a"})
+            journal.append({"kind": "cell_done", "cell": 0, "id": "a",
+                            "digest": "d", "key": "k"})
         records, truncated = load_journal(path)
         assert not truncated
         assert [record["kind"] for record in records] == [
@@ -251,8 +251,8 @@ class TestJournal:
 
     def test_torn_tail_tolerated(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        with CampaignJournal(path) as journal:
-            journal.append("cell_start", cell=0, id="a")
+        with JsonlLog(path, durable=True) as journal:
+            journal.append({"kind": "cell_start", "cell": 0, "id": "a"})
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"kind": "cell_done", "cel')
         records, truncated = load_journal(path)
@@ -270,15 +270,16 @@ class TestJournal:
 
     def test_replay_last_terminal_record_wins(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        with CampaignJournal(path) as journal:
-            journal.append("cell_start", cell=0, id="a")
-            journal.append(
-                "cell_failed", cell=0, id="a",
-                failure={"workload": "a", "scheme": "LRU",
-                         "error_type": "Boom", "message": "x"},
-            )
-            journal.append("cell_start", cell=0, id="a")
-            journal.append("cell_done", cell=0, id="a", digest="d", key="k")
+        with JsonlLog(path, durable=True) as journal:
+            journal.append({"kind": "cell_start", "cell": 0, "id": "a"})
+            journal.append({
+                "kind": "cell_failed", "cell": 0, "id": "a",
+                "failure": {"workload": "a", "scheme": "LRU",
+                            "error_type": "Boom", "message": "x"},
+            })
+            journal.append({"kind": "cell_start", "cell": 0, "id": "a"})
+            journal.append({"kind": "cell_done", "cell": 0, "id": "a",
+                            "digest": "d", "key": "k"})
         state = replay_journal(path)
         assert 0 in state.completed
         assert not state.failed
@@ -286,8 +287,8 @@ class TestJournal:
 
     def test_in_flight_detection(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        with CampaignJournal(path) as journal:
-            journal.append("cell_start", cell=3, id="c")
+        with JsonlLog(path, durable=True) as journal:
+            journal.append({"kind": "cell_start", "cell": 3, "id": "c"})
         assert replay_journal(path).in_flight == [3]
 
 

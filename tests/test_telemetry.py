@@ -9,13 +9,15 @@ watchdog deadline fires.
 """
 
 import json
+import os
 import threading
 import time
 
 import pytest
 
 from repro.cli import main
-from repro.common.errors import SimulationError
+from repro.common.errors import ReproError, SimulationError
+from repro.common.io import JsonlLog
 from repro.obs.fleet import (
     CellFleetStatus,
     FleetStatus,
@@ -179,9 +181,58 @@ class TestCellTelemetry:
         assert truncated
         assert [r["kind"] for r in records] == ["cell_start"]
 
+    def test_next_writer_repairs_torn_tail(self, tmp_path):
+        first = CellTelemetry(eager_spec(tmp_path), 0, "lru", "mcf")
+        first.cell_start(total_accesses=10, seed=1)
+        first.close()
+        path = cell_status_path(tmp_path, 0)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"kind": "heartbeat", "acc')  # killed mid-write
+        with CellTelemetry(eager_spec(tmp_path), 0, "lru", "mcf") as second:
+            second.cell_start(total_accesses=10, seed=2)
+        records, truncated = read_status_lines(path)
+        assert not truncated
+        assert [(r["kind"], r["seed"]) for r in records] == [
+            ("cell_start", 1), ("cell_start", 2),
+        ]
+
     def test_missing_file_reads_empty(self, tmp_path):
         records, truncated = read_status_lines(tmp_path / "absent.jsonl")
         assert records == [] and not truncated
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full on this platform"
+)
+
+
+@needs_dev_full
+class TestFullDisk:
+    def test_appender_raises_repro_error(self, tmp_path):
+        path = tmp_path / "grid.jsonl"
+        path.symlink_to("/dev/full")
+        with pytest.raises(ReproError, match="cannot write") as excinfo:
+            with JsonlLog(path) as log:
+                log.append({"kind": "grid_start"})
+        assert str(path) in str(excinfo.value)
+        assert not isinstance(excinfo.value, OSError)
+
+    def test_bench_telemetry_exits_2(self, tmp_path, capsys):
+        run_dir = tmp_path / "fleet"
+        run_dir.mkdir()
+        (run_dir / "grid.jsonl").symlink_to("/dev/full")
+        code = main([
+            "bench", "--schemes", "lru", "--benchmarks", "vpr",
+            "--sets", "16", "--length", "2000", "--no-run-cache",
+            "--telemetry", str(run_dir),
+        ])
+        assert code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("repro: error:")
+        ]
+        assert len(errors) == 1
+        assert errors[0].startswith("repro: error: cannot write")
 
 
 # ----------------------------------------------------------------------
