@@ -56,7 +56,7 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.analysis.capacity_demand import profile_capacity_demand
 from repro.analysis.classification import classify_trace
@@ -88,7 +88,7 @@ from repro.obs.benchhistory import (
 from repro.obs.diff import diff_results
 from repro.obs.events import EVENT_TYPES
 from repro.obs.explain import attribute
-from repro.obs.fleet import load_fleet, render_top, write_status
+from repro.obs.fleet import load_fleet, render_top, status_json, write_status
 from repro.obs.index import DEFAULT_INDEX_PATH, ArtifactIndex
 from repro.obs.server import create_server
 from repro.obs.htmlreport import (
@@ -96,7 +96,7 @@ from repro.obs.htmlreport import (
     explain_to_html,
     render_run_html,
 )
-from repro.obs.profile import PhaseTimer, RunProfiler
+from repro.obs.profile import RunProfiler
 from repro.obs.sinks import FilteredSink, JsonlSink, RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.obs.inspect import summarize_events
@@ -113,7 +113,7 @@ from repro.sim.config import (
 )
 from repro.sim.results import format_series, format_table
 from repro.sim.runner import associativity_sweep, run_benchmarks
-from repro.sim.simulator import run_trace
+from repro.sim.simulator import RunResult, run_trace
 from repro.workloads.spec_like import benchmark_names, make_benchmark_trace
 
 _FIGURES = {
@@ -171,14 +171,19 @@ def _scale_from(args: argparse.Namespace) -> ExperimentScale:
     )
 
 
-def _finish_profile(profiler: RunProfiler, args: argparse.Namespace) -> None:
-    """Shared ``--profile`` / ``--profile-json`` epilogue."""
-    if getattr(args, "profile", False):
+def _finish_profile(
+    args: argparse.Namespace, results: Iterable[RunResult],
+    run_cache: Optional[RunCache] = None,
+) -> None:
+    """Shared ``--profile`` / ``--profile-json`` epilogue over ``results``."""
+    if not (args.profile or args.profile_json):
+        return
+    profiler = RunProfiler.fold(results, run_cache)
+    if args.profile:
         print(profiler.render())
-    profile_json = getattr(args, "profile_json", None)
-    if profile_json:
-        profiler.save_bench_json(profile_json)
-        print(f"wrote profile report to {profile_json}")
+    if args.profile_json:
+        profiler.save_bench_json(args.profile_json)
+        print(f"wrote profile report to {args.profile_json}")
 
 
 def _benchmark_run(scheme: str, benchmark: str, scale: ExperimentScale,
@@ -222,10 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.save_run:
         save_run(args.save_run, result)
         print(f"wrote run to {args.save_run}")
-    if args.profile or args.profile_json:
-        profiler = RunProfiler()
-        profiler.add(result)
-        _finish_profile(profiler, args)
+    _finish_profile(args, [result])
     return 0
 
 
@@ -235,7 +237,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         args.benchmark, num_sets=scale.num_sets, length=scale.trace_length
     )
     baseline = None
-    profiler = RunProfiler()
+    results = []
     print(f"{'scheme':>10s} {'MPKI':>9s} {'AMAT':>9s} {'CPI':>8s} "
           f"{'vs LRU':>8s}")
     for scheme in args.schemes.split(","):
@@ -243,14 +245,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         result = run_trace(
             cache, trace, warmup_fraction=scale.warmup_fraction
         )
-        profiler.add(result)
+        results.append(result)
         if baseline is None:
             baseline = result.mpki
         relative = result.mpki / baseline if baseline else float("nan")
         print(f"{result.scheme:>10s} {result.mpki:>9.3f} "
               f"{result.amat:>9.2f} {result.cpi:>8.3f} {relative:>8.3f}")
-    if args.profile or args.profile_json:
-        _finish_profile(profiler, args)
+    _finish_profile(args, results)
     return 0
 
 
@@ -274,12 +275,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     run_cache = None
     if not args.no_run_cache:
         run_cache = RunCache(args.run_cache)
-    profiler = RunProfiler()
     matrix = run_benchmarks(
         schemes,
         benchmarks=benchmarks,
         scale=scale,
-        profiler=profiler,
         max_workers=args.jobs,
         run_cache=run_cache,
         telemetry_dir=args.telemetry,
@@ -296,15 +295,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.telemetry:
         print(f"telemetry written to {args.telemetry} "
               f"(watch with: repro top {args.telemetry})")
-    if args.profile or args.profile_json:
-        _finish_profile(profiler, args)
+    _finish_profile(args, matrix.results(), run_cache)
     return 1 if matrix.failures else 0
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    profiler: Optional[RunProfiler] = None
-    if args.profile or args.profile_json:
-        profiler = RunProfiler()
     outcome = run_campaign(
         args.spec,
         directory=args.dir,
@@ -312,7 +307,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         fresh=args.fresh,
         run_cache_dir=args.run_cache,
         telemetry_dir=args.telemetry,
-        profiler=profiler,
         index_db=args.index,
     )
     print(f"campaign {outcome.spec.name}: {outcome.total_cells} cells — "
@@ -326,8 +320,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.telemetry:
         print(f"telemetry written to {args.telemetry} "
               f"(watch with: repro top {args.telemetry})")
-    if profiler is not None:
-        _finish_profile(profiler, args)
+    _finish_profile(args, outcome.matrix.results(), outcome.run_cache)
     return 1 if outcome.quarantined else 0
 
 
@@ -352,7 +345,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         # The status.json document on stdout, no file round-trip — the
         # scriptable twin of --once (same schema, same exit-3 contract).
         status = load_fleet(run_dir, stall_after=args.stall_after)
-        print(json.dumps(status.as_dict(), indent=2, sort_keys=True))
+        print(status_json(status), end="")
         return 3 if status.stalled_cells else 0
     if args.once:
         status, rendered = snapshot()
@@ -658,12 +651,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     module = _FIGURES[args.name]
+    start = time.perf_counter()
+    module.main()
     if args.profile:
-        with PhaseTimer(args.name) as timer:
-            module.main()
-        print(f"figure {args.name}: {timer.seconds:.3f}s wall-clock")
-    else:
-        module.main()
+        print(f"figure {args.name}: "
+              f"{time.perf_counter() - start:.3f}s wall-clock")
     return 0
 
 

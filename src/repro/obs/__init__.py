@@ -121,7 +121,7 @@ from repro.obs.telemetry import (
     read_status_lines,
     resource_sample,
 )
-from repro.obs.profile import PhaseTimer, ProfileRecord, RunProfiler
+from repro.obs.profile import ProfileRecord, RunProfiler
 from repro.obs.sinks import (
     FilteredSink,
     JsonlSink,
@@ -156,7 +156,6 @@ __all__ = [
     "MetricsSeries",
     "NULL_TRACER",
     "ObservatoryServer",
-    "PhaseTimer",
     "PolicySwap",
     "ProfileRecord",
     "RingBufferSink",

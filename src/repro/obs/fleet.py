@@ -378,16 +378,23 @@ def load_fleet(
     return status
 
 
+def status_json(status: FleetStatus) -> str:
+    """The text of ``status.json``, ``/api/status`` and ``top --json``."""
+    return json.dumps(status.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def write_status(
     run_dir: Union[str, Path], status: FleetStatus
 ) -> Path:
     """Atomically write the machine-readable ``status.json`` snapshot."""
     path = Path(run_dir) / "status.json"
-    atomic_write_text(
-        path,
-        json.dumps(status.as_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    atomic_write_text(path, status_json(status))
     return path
+
+
+def refresh_status(run_dir: Union[str, Path]) -> Path:
+    """Re-aggregate ``run_dir`` and rewrite its ``status.json``."""
+    return write_status(run_dir, load_fleet(run_dir))
 
 
 def _format_eta(seconds: Optional[float]) -> str:

@@ -1,16 +1,14 @@
-"""Hot-loop profiling: wall-clock phase timers around simulation runs.
+"""Hot-loop profiling: per-run phase timings folded into one report.
 
 :func:`~repro.sim.simulator.run_trace` always times its warm-up and
 measured loops with :func:`time.perf_counter` and records them in the
-run manifest; this module aggregates those timings across runs:
-
-* :class:`RunProfiler` — collect per-run phase timings from
-  ``RunResult`` objects (the runner and CLI feed it), render a text
-  report, and export a ``pytest-benchmark``-style JSON document
-  (compatible with the ``BENCH_*.json`` artefacts the benchmark
-  harness produces) so later optimisation PRs can diff throughput.
-* :class:`PhaseTimer` — a context manager for timing arbitrary blocks
-  (the ``figure --profile`` CLI path wraps whole figure regenerations).
+run manifest, which travels with the ``RunResult`` out of pool
+workers and through the run cache.  :class:`RunProfiler` folds those
+timings across runs — the CLI's ``--profile`` flags build one from the
+results a run or grid returned — renders a text report, and exports a
+``pytest-benchmark``-style JSON document (compatible with the
+``BENCH_*.json`` artefacts the benchmark harness produces) so later
+optimisation work can diff throughput.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.common.io import atomic_write_text
 
@@ -49,30 +46,12 @@ class ProfileRecord:
         return self.measured_accesses / self.measured_seconds
 
 
-class PhaseTimer:
-    """Context manager timing one named phase with ``perf_counter``."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.seconds = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "PhaseTimer":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._start is not None:
-            self.seconds = perf_counter() - self._start
-            self._start = None
-
-
 class RunProfiler:
     """Accumulates :class:`ProfileRecord` rows across a batch of runs.
 
-    When grids run with a content-addressed run cache, the runner calls
-    :meth:`note_run_cache` so the report can show how much simulation
-    the cache avoided.
+    When grids run with a content-addressed run cache,
+    :meth:`note_run_cache` records its traffic so the report can show
+    how much simulation the cache avoided.
     """
 
     def __init__(self) -> None:
@@ -80,6 +59,25 @@ class RunProfiler:
         self.run_cache_hits = 0
         self.run_cache_misses = 0
         self.run_cache_corrupt = 0
+
+    @classmethod
+    def fold(
+        cls, results: Iterable[Any], run_cache: Optional[Any] = None
+    ) -> "RunProfiler":
+        """Profile ``results`` (failed cells are skipped) and the counters
+        of ``run_cache``, a :class:`~repro.sim.cache.RunCache`.
+
+        A result carries the timings of the run that produced it, so a
+        run-cache hit or a journal-resumed cell reports its original run.
+        """
+        profiler = cls()
+        for result in results:
+            profiler.add(result)
+        if run_cache is not None:
+            profiler.note_run_cache(
+                run_cache.hits, run_cache.misses, run_cache.corrupt_entries
+            )
+        return profiler
 
     def note_run_cache(
         self, hits: int, misses: int, corrupt: int = 0

@@ -49,11 +49,13 @@ import html
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 from urllib.parse import unquote, urlsplit
 
 from repro.obs.benchhistory import history_document
-from repro.obs.fleet import DEFAULT_STALL_AFTER, load_fleet
+from repro.obs.fleet import (
+    DEFAULT_STALL_AFTER, FleetStatus, load_fleet, status_json,
+)
 from repro.obs.htmlreport import _STYLE, render_run_html
 from repro.obs.index import ArtifactIndex
 
@@ -134,7 +136,8 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
                     self._metrics_body(),
                 )
             elif path == "/api/status":
-                self._send_json(200, self._status_document())
+                body = status_json(self._fleet_status()).encode("utf-8")
+                self._send(200, "application/json; charset=utf-8", body)
             elif path == "/api/runs":
                 self._send_json(200, self.server.index.runs())
             elif path.startswith("/api/runs/"):
@@ -192,11 +195,10 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
     # Bodies
     # ------------------------------------------------------------------
 
-    def _status_document(self) -> Dict[str, Any]:
-        status = load_fleet(
+    def _fleet_status(self) -> FleetStatus:
+        return load_fleet(
             self.server.run_dir, stall_after=self.server.stall_after
         )
-        return status.as_dict()
 
     def _metrics_body(self) -> bytes:
         """Every indexed run's exposition plus fleet aggregates.
@@ -222,9 +224,7 @@ class ObservatoryHandler(BaseHTTPRequestHandler):
             chunks.append(result.series.to_prometheus(
                 extra_labels={"run": record["hash"][:12]}
             ))
-        status = load_fleet(
-            self.server.run_dir, stall_after=self.server.stall_after
-        )
+        status = self._fleet_status()
         if status.cells:
             counts = status.counts()
             lines = [

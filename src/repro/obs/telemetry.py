@@ -52,7 +52,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 try:  # resource is POSIX-only; telemetry degrades gracefully without it
     import resource
@@ -66,6 +66,9 @@ CELLS_DIR = "cells"
 
 #: Default wall-clock spacing between heartbeat lines.
 DEFAULT_HEARTBEAT_SECONDS = 0.25
+
+#: Seconds between the parent's ``status.json`` refreshes.
+STATUS_INTERVAL = 1.0
 
 
 def new_grid_span_id() -> str:
@@ -248,11 +251,12 @@ class CellTelemetry(JsonlLog):
 class GridTelemetry(JsonlLog):
     """Parent-side log of the grid span and per-cell bookkeeping.
 
-    The :class:`~repro.sim.parallel.ParallelRunner` opens one of these
+    One of the :class:`~repro.sim.parallel.ParallelRunner`'s observers
+    (it answers the :class:`~repro.sim.parallel.CellObserver` hooks)
     when a run directory is supplied: it plans every cell up front (so
     ``repro top`` can show pending work before any worker starts),
-    records run-cache hits, and appends a completion record as each
-    worker reports back.
+    records run-cache hits and completions, and refreshes
+    ``status.json`` at most every :data:`STATUS_INTERVAL` seconds.
     """
 
     def __init__(self, run_dir: Union[str, Path]) -> None:
@@ -262,18 +266,35 @@ class GridTelemetry(JsonlLog):
             run_dir=str(self.run_dir), grid_span=self.grid_span
         )
         super().__init__(self.run_dir / "grid.jsonl")
+        self._last_status = time.monotonic()
 
     def _emit(self, kind: str, **fields: Any) -> None:
         self.append({"kind": kind, "t": round(time.time(), 6), **fields})
 
-    def grid_start(self, total_cells: int) -> None:
-        """Open the grid span."""
+    def _refresh_status(self, force: bool) -> None:
+        from repro.obs.fleet import refresh_status  # fleet imports us
+
+        now = time.monotonic()
+        if force or now - self._last_status >= STATUS_INTERVAL:
+            self._last_status = now
+            refresh_status(self.run_dir)
+
+    def grid_started(self, specs: Sequence[Any]) -> None:
+        """Open the grid span and plan every cell (pending state)."""
         self._emit(
             "grid_start",
             span_id=self.grid_span,
             pid=os.getpid(),
-            total_cells=total_cells,
+            total_cells=len(specs),
         )
+        for spec in specs:
+            self.cell_plan(
+                index=spec.index,
+                label=spec.label,
+                workload=spec.trace.name,
+                total_accesses=len(spec.trace),
+                watchdog_seconds=spec.watchdog_seconds,
+            )
 
     def cell_plan(
         self,
@@ -294,17 +315,32 @@ class GridTelemetry(JsonlLog):
             watchdog_seconds=watchdog_seconds,
         )
 
-    def cell_cached(self, index: int) -> None:
-        """Cell served from the content-addressed run cache."""
-        self._emit("cell_cached", cell=index)
+    def cell_started(self, spec: Any) -> None:
+        """Nothing to record: the worker opens the cell span itself."""
 
-    def cell_done(self, index: int, status: str) -> None:
-        """Parent-side completion record (``ok``/``failed``)."""
-        self._emit("cell_done", cell=index, status=status)
+    def cell_finished(
+        self, spec: Any, outcome: Any, cached: bool, key: Optional[str]
+    ) -> None:
+        """Record a run-cache hit or a parent-side completion."""
+        from repro.sim.results import RunFailure  # sim imports obs
 
-    def grid_end(self) -> None:
-        """Close the grid span."""
-        self._emit("grid_end", span_id=self.grid_span)
+        if cached:
+            self._emit("cell_cached", cell=spec.index)
+        else:
+            self._emit(
+                "cell_done",
+                cell=spec.index,
+                status="failed" if isinstance(outcome, RunFailure) else "ok",
+            )
+        self._refresh_status(force=False)
+
+    def grid_finished(self) -> None:
+        """Close the grid span, write the final status and the log."""
+        try:
+            self._emit("grid_end", span_id=self.grid_span)
+            self._refresh_status(force=True)
+        finally:
+            self.close()
 
 
 def read_status_lines(

@@ -61,7 +61,6 @@ from repro.common.errors import (
 )
 from repro.common.io import JsonlLog, atomic_write_text, read_jsonl
 from repro.obs.htmlreport import render_campaign_html
-from repro.obs.profile import RunProfiler
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import RetryPolicy
 from repro.sim.cache import RunCache, result_to_dict
@@ -694,7 +693,10 @@ class QuarantinedCell:
 
 @dataclass
 class CampaignOutcome:
-    """What one ``run_campaign`` invocation did and produced."""
+    """What one ``run_campaign`` invocation did and produced.
+
+    ``run_cache`` counts both journal-resume and grid lookups.
+    """
 
     spec: CampaignSpec
     directory: Path
@@ -704,6 +706,7 @@ class CampaignOutcome:
     resumed: int
     quarantined: List[QuarantinedCell]
     outputs: Dict[str, Path]
+    run_cache: RunCache
 
     @property
     def ok(self) -> bool:
@@ -842,7 +845,6 @@ def run_campaign(
     fresh: bool = False,
     run_cache_dir: Optional[Union[str, Path]] = None,
     telemetry_dir: Optional[Union[str, Path]] = None,
-    profiler: Optional[RunProfiler] = None,
     index_db: Optional[Union[str, Path]] = None,
 ) -> CampaignOutcome:
     """Run (or resume) the campaign described by ``spec_path``.
@@ -938,7 +940,6 @@ def run_campaign(
                 runner = ParallelRunner(
                     max_workers=jobs,
                     run_cache=run_cache,
-                    profiler=profiler,
                     telemetry_dir=telemetry_dir,
                     observer=_JournalObserver(journal, cell_ids),
                 )
@@ -1025,6 +1026,7 @@ def run_campaign(
             executed=len(pending),
             resumed=resumed,
             quarantined=quarantine_list,
+            run_cache=run_cache,
             outputs={
                 "journal": journal_path,
                 "matrix": matrix_path,

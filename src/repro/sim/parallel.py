@@ -18,8 +18,8 @@ Determinism contract
   is a pure function of the cell, not of scheduling.
 * Workers never share mutable state — each returns its finished
   :class:`~repro.sim.simulator.RunResult` (or structured
-  :class:`~repro.sim.results.RunFailure`), and the parent merges
-  results, profiler records, and failure lists in canonical cell order.
+  :class:`~repro.sim.results.RunFailure`), and the parent stitches
+  results and failure lists back in canonical cell order.
 * Crash tolerance is preserved: every cell runs through
   :func:`~repro.resilience.harness.guarded_run` inside the worker, so a
   poisoned cell comes back as a ``RunFailure`` record, not a dead pool.
@@ -41,14 +41,12 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
-from time import perf_counter, sleep
-from typing import Any, Dict, List, Optional, Sequence, Union
+from time import sleep
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.obs.fleet import load_fleet, write_status
 from repro.obs.manifest import build_manifest
-from repro.obs.profile import RunProfiler
 from repro.obs.telemetry import (
     CellTelemetry,
     GridTelemetry,
@@ -63,9 +61,6 @@ from repro.workloads.trace import Trace
 
 #: One cell outcome: a finished run or a structured failure record.
 CellOutcome = Union[RunResult, RunFailure]
-
-#: Seconds between ``status.json`` refreshes while telemetry is armed.
-STATUS_INTERVAL = 1.0
 
 #: Seconds between a pool worker's checks that its parent still lives.
 _PARENT_POLL_SECONDS = 0.5
@@ -212,17 +207,18 @@ def _exit_with_parent() -> None:
 
 
 class CellObserver:
-    """No-op base for per-cell lifecycle callbacks.
+    """No-op base for the runner's one reporting path (DESIGN.md §9).
 
-    The campaign layer journals cell execution through these hooks
-    (DESIGN.md §12); subclass and override what you need.  Callbacks
-    run in the **parent** process — :meth:`cell_started` when the cell
-    is handed to a worker (or executed inline), :meth:`cell_finished`
-    when its outcome lands, in completion order — so an observer may
-    keep open file handles without worrying about pickling.  Observers
-    must only *observe*: outcomes are byte-identical with or without
-    one.
+    The campaign journal (DESIGN.md §12) and fleet telemetry (DESIGN.md
+    §11) both listen through these hooks; subclass and override what
+    you need.  Callbacks run in the **parent** process, so an observer
+    may keep open file handles without worrying about pickling.
+    Observers must only *observe*: outcomes are byte-identical with or
+    without one.
     """
+
+    def grid_started(self, specs: Sequence[CellSpec]) -> None:
+        """The grid of ``specs`` is about to run (before any cell)."""
 
     def cell_started(self, spec: CellSpec) -> None:
         """``spec`` is about to execute (inline) or was submitted."""
@@ -234,12 +230,15 @@ class CellObserver:
         cached: bool,
         key: Optional[str],
     ) -> None:
-        """``spec`` produced ``outcome``.
+        """``spec`` produced ``outcome`` (calls come in completion order).
 
-        ``cached`` marks a run-cache hit (the cell never executed);
-        ``key`` is the cell's content-addressed cache key, or None when
-        it has none.
+        ``cached`` marks a run-cache hit (the cell never executed, and
+        no :meth:`cell_started` preceded this call); ``key`` is the
+        cell's content-addressed cache key, or None when it has none.
         """
+
+    def grid_finished(self) -> None:
+        """Last call of every grid, even one that raised."""
 
 
 class ParallelRunner:
@@ -251,22 +250,21 @@ class ParallelRunner:
     maintain.  With more workers, cells run under a
     ``ProcessPoolExecutor`` and results are stitched back by index.
 
-    ``telemetry_dir`` arms the live fleet-telemetry channel
-    (DESIGN.md §11): the runner opens a :class:`GridTelemetry` over the
-    directory, plans every cell, ships a :class:`TelemetrySpec` into
-    each worker (whose :class:`CellTelemetry` writes spans, heartbeats
-    and resource samples), records completions, and refreshes the
-    machine-readable ``status.json`` at most every
-    :data:`STATUS_INTERVAL` seconds — the surface ``repro top``
-    renders.  Telemetry never influences outcomes: matrices are
-    byte-identical with it on or off, serial or parallel.
+    Every grid and cell event goes to one observer list: ``observer``
+    (a :class:`CellObserver`), plus a
+    :class:`~repro.obs.telemetry.GridTelemetry` over ``telemetry_dir``
+    when that is set (DESIGN.md §11).  The telemetry observer plans
+    every cell, records completions and refreshes ``status.json``, and
+    the runner ships its :class:`TelemetrySpec` into each worker, whose
+    :class:`CellTelemetry` writes spans, heartbeats and resource
+    samples.  Observers never influence outcomes: matrices are
+    byte-identical with them on or off, serial or parallel.
     """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
         run_cache: Optional[Any] = None,
-        profiler: Optional[RunProfiler] = None,
         telemetry_dir: Optional[Any] = None,
         observer: Optional[CellObserver] = None,
     ) -> None:
@@ -276,124 +274,78 @@ class ParallelRunner:
             )
         self.max_workers = max_workers
         self.run_cache = run_cache
-        self.profiler = profiler
         self.telemetry_dir = telemetry_dir
         self.observer = observer
 
     def run(self, specs: Sequence[CellSpec]) -> List[CellOutcome]:
         """Execute every cell; returns outcomes in ``specs`` order."""
-        if self.telemetry_dir is None:
-            return self._run(specs, None)
-        # Telemetry armed: the grid span, per-cell plans, completions
-        # and periodic status.json snapshots flow through the run-dir
-        # channel; the simulation outcomes are byte-identical either
-        # way (the writers only observe).
-        with GridTelemetry(self.telemetry_dir) as grid:
-            grid.grid_start(len(specs))
-            for spec in specs:
-                grid.cell_plan(
-                    index=spec.index,
-                    label=spec.label,
-                    workload=spec.trace.name,
-                    total_accesses=len(spec.trace),
-                    watchdog_seconds=spec.watchdog_seconds,
-                )
-            try:
-                return self._run(specs, grid)
-            finally:
-                grid.grid_end()
-                self._write_status(grid)
-
-    def _write_status(self, grid: GridTelemetry) -> None:
-        write_status(grid.run_dir, load_fleet(grid.run_dir))
+        observers: List[Any] = []
+        if self.observer is not None:
+            observers.append(self.observer)
+        telemetry_spec = None
+        if self.telemetry_dir is not None:
+            grid = GridTelemetry(self.telemetry_dir)
+            observers.append(grid)
+            telemetry_spec = grid.spec
+        try:
+            for observer in observers:
+                observer.grid_started(specs)
+            return self._run(specs, observers, telemetry_spec)
+        finally:
+            for observer in observers:
+                observer.grid_finished()
 
     def _run(
-        self, specs: Sequence[CellSpec], grid: Optional[GridTelemetry]
+        self,
+        specs: Sequence[CellSpec],
+        observers: Sequence[Any],
+        telemetry_spec: Optional[TelemetrySpec],
     ) -> List[CellOutcome]:
         results: List[Optional[CellOutcome]] = [None] * len(specs)
         pending: List[tuple] = []
         run_cache = self.run_cache
-        observer = self.observer
-        hits_before = run_cache.hits if run_cache is not None else 0
-        misses_before = run_cache.misses if run_cache is not None else 0
-        corrupt_before = (
-            getattr(run_cache, "corrupt_entries", 0)
-            if run_cache is not None else 0
-        )
-        telemetry_spec = grid.spec if grid is not None else None
-        last_status = perf_counter()
         for position, spec in enumerate(specs):
-            key = None
-            if run_cache is not None:
-                key = cell_cache_key(spec)
-                cached = run_cache.get(key) if key is not None else None
-                if cached is not None:
-                    results[position] = cached
-                    if grid is not None:
-                        grid.cell_cached(spec.index)
-                    if observer is not None:
-                        observer.cell_finished(spec, cached, True, key)
-                    continue
-            pending.append((position, spec, key))
-
-        def note_done(spec: CellSpec, outcome: CellOutcome) -> None:
-            nonlocal last_status
-            if grid is None:
-                return
-            grid.cell_done(
-                spec.index,
-                "failed" if isinstance(outcome, RunFailure) else "ok",
-            )
-            now = perf_counter()
-            if now - last_status >= STATUS_INTERVAL:
-                last_status = now
-                self._write_status(grid)
-
-        def note_finished(
-            spec: CellSpec, outcome: CellOutcome, key: Optional[str]
-        ) -> None:
-            if observer is not None:
+            key = cell_cache_key(spec) if run_cache is not None else None
+            cached = run_cache.get(key) if key is not None else None
+            if cached is None:
+                pending.append((position, spec, key))
+                continue
+            results[position] = cached
+            for observer in observers:
+                observer.cell_finished(spec, cached, True, key)
+        for position, spec, key, outcome in self._execute(
+            pending, observers, telemetry_spec
+        ):
+            results[position] = self._store(spec, key, outcome)
+            for observer in observers:
                 observer.cell_finished(spec, outcome, False, key)
-            note_done(spec, outcome)
+        return list(results)
 
+    def _execute(
+        self,
+        pending: Sequence[tuple],
+        observers: Sequence[Any],
+        telemetry_spec: Optional[TelemetrySpec],
+    ) -> Iterator[tuple]:
+        """Run ``(position, spec, key)`` cells; yield each with its outcome."""
         workers = self.max_workers
         if workers is None or workers <= 1 or len(pending) <= 1:
             for position, spec, key in pending:
-                if observer is not None:
+                for observer in observers:
                     observer.cell_started(spec)
-                outcome = _execute_cell(spec, telemetry_spec)
-                results[position] = self._store(spec, key, outcome)
-                note_finished(spec, outcome, key)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_exit_with_parent
-            ) as pool:
-                futures = {}
-                for position, spec, key in pending:
-                    if observer is not None:
-                        observer.cell_started(spec)
-                    future = pool.submit(_execute_cell, spec, telemetry_spec)
-                    futures[future] = (position, spec, key)
-                for future in as_completed(futures):
-                    position, spec, key = futures[future]
-                    outcome = future.result()
-                    results[position] = self._store(spec, key, outcome)
-                    note_finished(spec, outcome, key)
-        if self.profiler is not None:
-            # Profiler records are merged here, in canonical cell order,
-            # from the timing payloads the workers returned — never by
-            # mutating the profiler across processes.
-            for outcome in results:
-                if isinstance(outcome, RunResult):
-                    self.profiler.add(outcome)
-            if run_cache is not None:
-                self.profiler.note_run_cache(
-                    run_cache.hits - hits_before,
-                    run_cache.misses - misses_before,
-                    getattr(run_cache, "corrupt_entries", 0)
-                    - corrupt_before,
-                )
-        return list(results)
+                yield position, spec, key, _execute_cell(spec, telemetry_spec)
+            return
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_parent
+        ) as pool:
+            futures = {}
+            for position, spec, key in pending:
+                for observer in observers:
+                    observer.cell_started(spec)
+                future = pool.submit(_execute_cell, spec, telemetry_spec)
+                futures[future] = (position, spec, key)
+            for future in as_completed(futures):
+                yield (*futures[future], future.result())
 
     def _store(
         self, spec: CellSpec, key: Optional[str], outcome: CellOutcome

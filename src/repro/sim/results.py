@@ -10,7 +10,9 @@ figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.analysis.metrics import geomean, normalize_to_baseline
 from repro.common.errors import ConfigError
@@ -121,6 +123,14 @@ class ResultMatrix:
             raise ConfigError(
                 f"no result for workload={workload!r} scheme={scheme!r}"
             ) from exc
+
+    def results(self) -> Iterator[RunResult]:
+        """Every finished cell, workload-major in axis order."""
+        for workload in self.workloads:
+            row = self._cells[workload]
+            for scheme in self.schemes:
+                if scheme in row:
+                    yield row[scheme]
 
     def series_for(self, workload: str, scheme: str):
         """The windowed metrics series of a cell, or None.

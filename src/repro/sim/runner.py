@@ -1,10 +1,5 @@
 """Experiment runner: scheme x workload grids and associativity sweeps.
 
-All entry points accept an optional
-:class:`~repro.obs.profile.RunProfiler`, which collects each run's
-phase timings (already measured by :func:`run_trace`) into one report —
-the substrate behind the CLI's ``--profile`` flags.
-
 Grids are crash-tolerant: each (scheme, trace) cell runs through
 :func:`~repro.resilience.harness.guarded_run`, so one poisoned cell is
 recorded as a structured :class:`~repro.sim.results.RunFailure` in the
@@ -30,7 +25,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.obs.profile import RunProfiler
 from repro.sim.config import ExperimentScale, RunOptions
 from repro.sim.parallel import CellOutcome, CellSpec, ParallelRunner
 from repro.sim.results import ResultMatrix, RunFailure
@@ -66,7 +60,6 @@ def run_matrix(
     schemes: Sequence[str],
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
-    profiler: Optional[RunProfiler] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
     options: RunOptions = RunOptions(),
@@ -95,7 +88,7 @@ def run_matrix(
             for scheme_name in schemes
         ],
         scale, seed, options, max_workers=max_workers, run_cache=run_cache,
-        profiler=profiler, telemetry_dir=telemetry_dir,
+        telemetry_dir=telemetry_dir,
     )
     matrix = ResultMatrix()
     for outcome in outcomes:
@@ -111,7 +104,6 @@ def run_benchmarks(
     benchmarks: Optional[Sequence[str]] = None,
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
-    profiler: Optional[RunProfiler] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
     options: RunOptions = RunOptions(),
@@ -129,9 +121,8 @@ def run_benchmarks(
         for name in names
     ]
     return run_matrix(traces, schemes, scale=scale, seed=seed,
-                      profiler=profiler, max_workers=max_workers,
-                      run_cache=run_cache, options=options,
-                      telemetry_dir=telemetry_dir)
+                      max_workers=max_workers, run_cache=run_cache,
+                      options=options, telemetry_dir=telemetry_dir)
 
 
 def associativity_sweep(
@@ -140,7 +131,6 @@ def associativity_sweep(
     associativities: Sequence[int],
     scale: Optional[ExperimentScale] = None,
     seed: int = 0xACE1,
-    profiler: Optional[RunProfiler] = None,
     max_workers: Optional[int] = None,
     run_cache=None,
     options: RunOptions = RunOptions(),
@@ -166,7 +156,7 @@ def associativity_sweep(
     ]
     outcomes = _run_cells(
         cells, scale, seed, options, max_workers=max_workers,
-        run_cache=run_cache, profiler=profiler, telemetry_dir=telemetry_dir,
+        run_cache=run_cache, telemetry_dir=telemetry_dir,
     )
     curves: Dict[str, List[RunResult]] = {name: [] for name in schemes}
     for (scheme_name, *_), outcome in zip(cells, outcomes):

@@ -547,9 +547,9 @@ class TestRunCacheCorruption:
         ParallelRunner(run_cache=cache).run([spec])
         key = cell_cache_key(spec)
         cache.path_for(key).write_text("{broken", encoding="utf-8")
-        profiler = RunProfiler()
         with pytest.warns(UserWarning, match="corrupt"):
-            ParallelRunner(run_cache=cache, profiler=profiler).run([spec])
+            outcomes = ParallelRunner(run_cache=cache).run([spec])
+        profiler = RunProfiler.fold(outcomes, cache)
         assert profiler.run_cache_corrupt == 1
         assert "1 corrupt entry quarantined" in profiler.render()
         assert profiler.to_bench_json()["run_cache"]["corrupt"] == 1

@@ -7,10 +7,12 @@ sensitivity), the inspection aggregates, and the profiler report.
 """
 
 import json
+import re
 
 import pytest
 
 from repro.cache.geometry import CacheGeometry
+from repro.cli import main
 from repro.common.errors import ConfigError
 from repro.common.stats import CacheStats, counter_field_names
 from repro.core.stem_cache import StemCache
@@ -46,7 +48,7 @@ from repro.obs.inspect import (
     swap_cadence,
 )
 from repro.obs.manifest import describe_scheme
-from repro.obs.profile import PhaseTimer, RunProfiler
+from repro.obs.profile import RunProfiler
 from repro.sim.config import make_scheme
 from repro.sim.simulator import run_trace
 from repro.workloads.spec_like import make_benchmark_trace
@@ -441,10 +443,11 @@ class TestInspect:
 
 
 class TestProfiler:
-    def test_phase_timer_measures(self):
-        with PhaseTimer("busy") as timer:
-            sum(range(1000))
-        assert timer.seconds > 0.0
+    def test_phase_timer_measures(self, capsys):
+        # figure --profile times the whole regeneration itself.
+        assert main(["figure", "table3", "--profile"]) == 0
+        timed = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"figure table3: \d+\.\d{3}s wall-clock", timed)
 
     def test_add_reads_manifest(self):
         cache = make_scheme("LRU", GEOMETRY)

@@ -142,11 +142,11 @@ class TestParallelEquivalence:
                 [r.mpki for r in serial[scheme]]
 
     def test_profiler_merges_in_canonical_order(self):
-        profiler = RunProfiler()
-        run_benchmarks(
+        matrix = run_benchmarks(
             ["lru", "stem"], benchmarks=["vpr", "omnetpp"], scale=SCALE,
-            profiler=profiler, max_workers=4,
+            max_workers=4,
         )
+        profiler = RunProfiler.fold(matrix.results())
         observed = [(r.trace_name, r.scheme) for r in profiler.records]
         assert observed == [
             ("vpr", "LRU"), ("vpr", "STEM"),
@@ -236,12 +236,13 @@ class TestRunCache:
 
     def test_cache_feeds_profiler_counters(self, tmp_path):
         run_cache = RunCache(tmp_path / "runs")
-        profiler = RunProfiler()
-        run_benchmarks(["lru"], benchmarks=["vpr"], scale=SCALE,
-                       run_cache=run_cache, profiler=profiler)
+        matrix = run_benchmarks(["lru"], benchmarks=["vpr"], scale=SCALE,
+                                run_cache=run_cache)
+        profiler = RunProfiler.fold(matrix.results(), run_cache)
         assert profiler.run_cache_misses == 1
-        run_benchmarks(["lru"], benchmarks=["vpr"], scale=SCALE,
-                       run_cache=run_cache, profiler=profiler)
+        matrix = run_benchmarks(["lru"], benchmarks=["vpr"], scale=SCALE,
+                                run_cache=run_cache)
+        profiler = RunProfiler.fold(matrix.results(), run_cache)
         assert profiler.run_cache_hits == 1
         assert "run cache: 1 hit(s), 1 miss(es)" in profiler.render()
         assert profiler.to_bench_json()["run_cache"] == {
