@@ -36,10 +36,8 @@ from repro.obs.benchhistory import (
     load_history,
     make_entry,
 )
-from repro.sim.columnar import numpy_available
 from repro.sim.config import (
     ExperimentScale,
-    RunOptions,
     make_scheme,
     registry_scheme_keys,
 )
@@ -57,13 +55,6 @@ RECORD_SCHEMES = tuple(registry_scheme_keys())
 RECORD_LENGTH = 200_000
 ARTEFACT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 HISTORY = Path(__file__).resolve().parent.parent / "BENCH_HISTORY.jsonl"
-
-#: Schemes with an exact columnar kernel (repro.sim.columnar).  Each is
-#: additionally recorded under a ``<scheme>@numpy`` key so the artefact
-#: pins both paths: the plain keys stay scalar (``backend="python"``) —
-#: comparable in any environment, numpy or not — and the ``@numpy``
-#: keys pin the kernel's speedup, guarded only where numpy exists.
-COLUMNAR_SCHEMES = ("lru",)
 
 
 @pytest.mark.parametrize(
@@ -88,13 +79,11 @@ def test_bench_scheme_throughput(benchmark, scheme):
 MEASURE_REPS = 3
 
 
-def _measure(scheme: str, backend: str = "python") -> dict:
+def _measure(scheme: str) -> dict:
     """Best-of-``MEASURE_REPS`` run of ``scheme`` on the reference load.
 
-    ``backend`` is explicit (never "auto") so a recorded rate always
-    measures one named execution path; plan construction for the
-    columnar path happens outside the timed phases (like the geometry
-    precompute), so rep 1 and rep 3 measure the same work.
+    The geometry precompute happens outside the timed phases, so rep 1
+    and rep 3 measure the same work.
     """
     trace = make_benchmark_trace(
         "omnetpp", num_sets=SCALE.num_sets, length=RECORD_LENGTH
@@ -107,9 +96,7 @@ def _measure(scheme: str, backend: str = "python") -> dict:
     try:
         for _ in range(MEASURE_REPS):
             cache = make_scheme(scheme, SCALE.geometry())
-            manifest = run_trace(
-                cache, trace, options=RunOptions(backend=backend)
-            ).manifest
+            manifest = run_trace(cache, trace).manifest
             rate = manifest.measured_accesses / manifest.measured_seconds
             if best is None or rate > best[0]:
                 best = (rate, manifest)
@@ -142,10 +129,7 @@ def test_bench_record_throughput():
                 "Re-record with BENCH_RECORD=1 pytest "
                 "benchmarks/test_bench_throughput.py -k record; guard "
                 "with BENCH_GUARD=1 (ratio via BENCH_GUARD_RATIO, "
-                "default 0.8). Plain keys measure the scalar backend "
-                "(backend='python'); '<scheme>@numpy' keys measure the "
-                "columnar kernel and are skipped by the guard when "
-                "numpy is not installed."
+                "default 0.8)."
             ),
             "workload": (
                 f"omnetpp, {SCALE.num_sets} sets x "
@@ -156,10 +140,7 @@ def test_bench_record_throughput():
         },
     }
     for scheme in RECORD_SCHEMES:
-        document[scheme] = _measure(scheme, backend="python")
-    if numpy_available():
-        for scheme in COLUMNAR_SCHEMES:
-            document[f"{scheme}@numpy"] = _measure(scheme, backend="numpy")
+        document[scheme] = _measure(scheme)
     atomic_write_text(
         ARTEFACT, json.dumps(document, indent=2, sort_keys=True) + "\n"
     )
@@ -191,12 +172,7 @@ def test_bench_throughput_guard():
     for key, recorded in document.items():
         if key.startswith("_"):
             continue
-        scheme, _, backend = key.partition("@")
-        if backend == "numpy" and not numpy_available():
-            continue  # columnar entries only guard where numpy exists
-        measured = _measure(
-            scheme, backend=backend or "python"
-        )["accesses_per_sec"]
+        measured = _measure(key)["accesses_per_sec"]
         floor = recorded["accesses_per_sec"] * ratio
         if measured < floor:
             failures.append(

@@ -104,7 +104,6 @@ from repro.resilience.campaign import run_fault_campaign
 from repro.resilience.faults import FAULT_TARGETS
 from repro.sim.cache import RunCache, load_run, save_run
 from repro.sim.campaign import campaign_status, run_campaign
-from repro.sim.columnar import BACKENDS
 from repro.sim.config import (
     ExperimentScale,
     RunOptions,
@@ -141,15 +140,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
                         help="associativity (default 16)")
     parser.add_argument("--length", type=int, default=300_000,
                         help="trace length in accesses (default 300000)")
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=list(BACKENDS), default="auto",
-        help="simulation backend: the scalar oracle ('python'), the "
-             "columnar numpy kernel ('numpy'), or pick automatically "
-             "('auto', the default); results are identical either way"
-    )
 
 
 def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
@@ -201,8 +191,7 @@ def _benchmark_run(scheme: str, benchmark: str, scale: ExperimentScale,
 def _cmd_run(args: argparse.Namespace) -> int:
     result = _benchmark_run(
         args.scheme, args.benchmark, _scale_from(args),
-        RunOptions(metrics_window=args.window, backend=args.backend,
-                   ledger=args.ledger),
+        RunOptions(metrics_window=args.window, ledger=args.ledger),
     )
     print(f"{result.scheme} on {result.trace_name}: "
           f"MPKI={result.mpki:.3f}  AMAT={result.amat:.2f}  "
@@ -282,7 +271,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         max_workers=args.jobs,
         run_cache=run_cache,
         telemetry_dir=args.telemetry,
-        options=RunOptions(backend=args.backend),
     )
     table = matrix.metric_table(lambda result: result.mpki)
     print(format_table(table, matrix.schemes, title="MPKI"))
@@ -709,7 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="export Prometheus-style text metrics (needs --window)"
     )
     _add_scale_arguments(run_parser)
-    _add_backend_argument(run_parser)
     _add_profile_arguments(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -770,7 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
              "verdicts (exit 3 when any scheme regressed)"
     )
     _add_scale_arguments(bench_parser)
-    _add_backend_argument(bench_parser)
     _add_profile_arguments(bench_parser)
     bench_parser.set_defaults(handler=_cmd_bench)
 

@@ -10,7 +10,7 @@ attempts is summarised as a structured
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Union
 
@@ -82,14 +82,11 @@ def guarded_run(
     so a parent aggregator can tell a slow cell from a stalled worker
     before the watchdog deadline converts it into a RunFailure.
 
-    ``options`` reach :func:`run_trace` unchanged on the first attempt;
-    retries force the scalar oracle so a hypothetical columnar defect
-    can never burn the whole retry budget on the same kernel.  (The
-    exactness contract makes the paths interchangeable, so the
-    downgrade is invisible in results.)  A ledgered run gets a fresh
-    sink with every fresh cache; a conservation violation at seal is
-    retried like any other exception and, if persistent, surfaces as a
-    :class:`RunFailure` naming ``InvariantViolation``.
+    ``options`` reach :func:`run_trace` unchanged on every attempt.  A
+    ledgered run gets a fresh sink with every fresh cache; a
+    conservation violation at seal is retried like any other exception
+    and, if persistent, surfaces as a :class:`RunFailure` naming
+    ``InvariantViolation``.
     """
     retry = retry if retry is not None else DEFAULT_RETRY
     seeds = retry.seeds(base_seed)
@@ -111,10 +108,7 @@ def guarded_run(
                 warmup_fraction=warmup_fraction,
                 machine=machine,
                 deadline_seconds=watchdog_seconds,
-                options=(
-                    options if attempt == 1
-                    else replace(options, backend="python")
-                ),
+                options=options,
                 telemetry=telemetry,
             )
             if telemetry is not None:

@@ -44,13 +44,6 @@ _FORMAT = 2
 def result_to_dict(result: RunResult) -> Dict[str, Any]:
     """Flatten a :class:`RunResult` (and nested dataclasses) to JSON.
 
-    ``result.backend`` is deliberately not serialised: the columnar
-    exactness contract (DESIGN.md §13) makes backends result-identical,
-    so recording one would only split run-cache keys, campaign journal
-    ``result_digest`` values and saved-run bytes across paths that
-    produced the same result.  Round-tripped results report the default
-    ``"python"`` — execution provenance is in-process information.
-
     The capacity-flow ``ledger`` is serialised only when present, so
     every ledger-less payload (including everything written before the
     field existed) keeps its exact bytes and digests.

@@ -95,6 +95,11 @@ _SPEC_KEYS = frozenset({
     "retry", "watchdog_seconds", "backend", "ledger",
 })
 
+#: Names a spec's ``backend`` key may carry.  The key selected an
+#: execution path that no longer exists; it is still accepted, and
+#: still hashed into the digest, so journals of specs naming it resume.
+_LEGACY_BACKENDS = ("auto", "python", "numpy")
+
 _RETRY_KEYS = frozenset({"max_attempts", "reseed_step"})
 _GEOMETRY_KEYS = frozenset({"sets", "assoc"})
 
@@ -156,6 +161,10 @@ class CampaignSpec:
     :func:`build_cells` is a pure deterministic expansion and
     :meth:`digest` identifies the grid regardless of how the spec file
     spelled it.
+
+    ``backend`` is a compatibility field: specs written when a choice
+    of execution path existed may still name one.  It enters
+    :meth:`digest` (so their journals resume) and has no other effect.
     """
 
     name: str
@@ -170,6 +179,7 @@ class CampaignSpec:
     retry: Optional[RetryPolicy]
     watchdog_seconds: Optional[float]
     options: RunOptions = RunOptions()
+    backend: Optional[str] = None
 
     def total_cells(self) -> int:
         return (
@@ -199,8 +209,10 @@ class CampaignSpec:
                 if self.retry is not None else None
             ),
             "watchdog_seconds": self.watchdog_seconds,
-            **self.options.identity(spec=True),
+            **self.options.identity(),
         }
+        if self.backend is not None:
+            payload["backend"] = self.backend
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -339,7 +351,7 @@ def _parse_fault_plans(
 def _parse_options(source: str, document: Dict[str, Any]) -> RunOptions:
     """The spec's run options; each is validated alone to name its key."""
     fields: Dict[str, Any] = {}
-    for key in ("metrics_window", "backend", "ledger"):
+    for key in ("metrics_window", "ledger"):
         if key in document:
             try:
                 RunOptions(**{key: document[key]})
@@ -347,6 +359,15 @@ def _parse_options(source: str, document: Dict[str, Any]) -> RunOptions:
                 raise _fail(source, key, str(exc)) from exc
             fields[key] = document[key]
     return RunOptions(**fields)
+
+
+def _parse_backend(source: str, document: Dict[str, Any]) -> Optional[str]:
+    backend = document.get("backend")
+    if backend not in (None, *_LEGACY_BACKENDS):
+        raise _fail(source, "backend",
+                    f"unknown backend {backend!r}; expected one of "
+                    f"{', '.join(_LEGACY_BACKENDS)}")
+    return backend
 
 
 def _parse_retry(
@@ -455,6 +476,7 @@ def load_campaign_spec(path: Union[str, Path]) -> CampaignSpec:
         retry=_parse_retry(source, document),
         watchdog_seconds=watchdog_seconds,
         options=_parse_options(source, document),
+        backend=_parse_backend(source, document),
     )
 
 

@@ -4,8 +4,8 @@
 consumes; :func:`make_scheme` builds any of the evaluated LLC schemes
 by the names the paper uses, so experiments are driven by declarative
 (scheme-name, geometry) pairs.  :class:`RunOptions` is the one value
-that carries a run's optional outputs and execution path through every
-entry point, from :func:`~repro.sim.simulator.run_trace` to campaigns.
+that carries a run's optional outputs through every entry point, from
+:func:`~repro.sim.simulator.run_trace` to campaigns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core.config import StemConfig
 from repro.obs.tracer import Tracer
 from repro.core.stem_cache import StemCache
 from repro.policies.registry import make_policy
-from repro.sim.columnar import BACKENDS
 from repro.spatial.page_coloring import PageColoringCache
 from repro.spatial.sbc import SbcCache
 from repro.spatial.sbc_static import StaticSbcCache
@@ -44,7 +43,7 @@ class MachineConfig:
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Per-run options: what a run records and which path executes it.
+    """Per-run options: what a run records beyond its counters.
 
     ``metrics_window`` (accesses) samples a
     :class:`~repro.obs.metrics.MetricsRegistry` at every window boundary
@@ -52,25 +51,16 @@ class RunOptions:
     ``access_batch`` chunks, so batch and scalar runs produce identical
     series (DESIGN.md §10).
 
-    ``backend`` picks the execution path: ``"python"`` (the scalar
-    oracle), ``"numpy"`` (the columnar kernel of
-    :mod:`repro.sim.columnar`), or ``"auto"``/``None`` — numpy exactly
-    when it is importable and the scheme has an exact kernel.  The
-    exactness contract (DESIGN.md §13) makes the choice invisible in
-    results: it only changes wall-clock time.
-
     ``ledger=True`` attaches a :class:`~repro.obs.ledger.LedgerSink`
     before warm-up and seals it into ``result.ledger``: coupling
     episodes, policy swaps and the per-set capacity-flow account,
-    conservation verified at close (DESIGN.md §14).  The enabled tracer
-    forces the scalar path; the ledger stays deterministic across
-    serial and parallel execution.
+    conservation verified at close (DESIGN.md §14).  The ledger stays
+    deterministic across serial and parallel execution.
 
     The defaults touch nothing and cost nothing.
     """
 
     metrics_window: Optional[int] = None
-    backend: Optional[str] = None
     ledger: bool = False
 
     def __post_init__(self) -> None:
@@ -79,32 +69,22 @@ class RunOptions:
             raise ConfigError(
                 f"metrics_window must be a positive integer, got {window!r}"
             )
-        if self.backend not in (None, *BACKENDS):
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKENDS)}"
-            )
         if type(self.ledger) is not bool:
             raise ConfigError(
                 f"ledger must be true or false, got {self.ledger!r}"
             )
 
-    def identity(self, spec: bool = False) -> Dict[str, Any]:
+    def identity(self) -> Dict[str, Any]:
         """The options that are part of a result's identity.
 
-        The one rule behind run-cache keys and, with ``spec=True``,
-        campaign spec digests.  The window always counts: a windowed
-        result carries a series an unwindowed one lacks.  ``ledger``
-        counts only when set, so keys predating it stay valid.  The
-        backend cannot change results, so no cache key covers it; a
-        spec digest covers a named backend as intent, and specs that
-        name none keep their journal digests.
+        The one rule behind run-cache keys and campaign spec digests.
+        The window always counts: a windowed result carries a series an
+        unwindowed one lacks.  ``ledger`` counts only when set, so keys
+        predating it stay valid.
         """
         identity: Dict[str, Any] = {"metrics_window": self.metrics_window}
         if self.ledger:
             identity["ledger"] = True
-        if spec and self.backend is not None:
-            identity["backend"] = self.backend
         return identity
 
 

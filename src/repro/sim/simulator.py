@@ -27,12 +27,6 @@ from repro.obs.ledger import LedgerSink, RunLedger
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.metrics import MetricsRegistry, MetricsSeries
 from repro.obs.tracer import Tracer
-from repro.sim.columnar import (
-    BACKEND_NUMPY,
-    BACKEND_PYTHON,
-    make_engine,
-    resolve_backend,
-)
 from repro.sim.config import MachineConfig, RunOptions
 from repro.workloads.trace import Trace
 
@@ -45,16 +39,10 @@ class RunResult:
     made with ``RunOptions(metrics_window=N)``; it is None (and costs
     nothing) by default.
 
-    ``backend`` records which execution path actually ran ("python" or
-    "numpy").  It is in-process provenance only: the exactness contract
-    (DESIGN.md §13) makes the two paths produce identical results, so
-    the field is deliberately excluded from ``result_to_dict`` /
-    ``save_run`` payloads and every derived digest.
-
     ``ledger`` carries the capacity-flow ledger when the run was made
     with ``RunOptions(ledger=True)``; it is None (and costs nothing) by
-    default.  Unlike ``backend`` it *is* serialised, so saved runs feed
-    ``repro explain`` without re-simulating.
+    default.  It is serialised, so saved runs feed ``repro explain``
+    without re-simulating.
     """
 
     scheme: str
@@ -65,7 +53,6 @@ class RunResult:
     metrics: MetricSet
     manifest: Optional[RunManifest] = None
     series: Optional[MetricsSeries] = None
-    backend: str = BACKEND_PYTHON
     ledger: Optional[RunLedger] = None
 
     @property
@@ -214,8 +201,8 @@ def run_trace(
     :class:`~repro.common.errors.WatchdogTimeout`.
 
     ``options`` (a :class:`~repro.sim.config.RunOptions`) selects the
-    optional windowed series, the execution backend and the
-    capacity-flow ledger; the defaults run the uninstrumented path.
+    optional windowed series and the capacity-flow ledger; the defaults
+    run the uninstrumented path.
 
     ``telemetry`` (a :class:`~repro.obs.telemetry.CellTelemetry`)
     arms live status reporting: warm-up and measured phase spans plus
@@ -240,9 +227,7 @@ def run_trace(
     warm = int(total * warmup_fraction)
     ledger_sink: Optional[LedgerSink] = None
     if options.ledger:
-        # Attach before anything reads cache.tracer: the backend
-        # resolver below must see the enabled tracer and decline the
-        # columnar kernel, and warm-up events belong in the episode
+        # Attach before warm-up: its events belong in the episode
         # record (the monotonic clock spans the whole run).
         ledger_sink = LedgerSink()
         _attach_ledger_sink(cache, ledger_sink)
@@ -256,15 +241,6 @@ def run_trace(
     else:
         set_indices = tags = None
     writes = trace.writes
-    # Backend resolution and plan construction sit outside the timed
-    # phases for the same reason as the geometry precompute: the plan
-    # is a cached, static derivation, not simulation work.
-    resolved_backend = resolve_backend(options.backend, cache)
-    engine = None
-    if resolved_backend == BACKEND_NUMPY:
-        engine = make_engine(cache, trace, writes)
-        if engine is None:
-            resolved_backend = BACKEND_PYTHON
     beat = telemetry.beat if telemetry is not None else None
     phase_start = perf_counter()
     deadline_at = (
@@ -272,13 +248,9 @@ def run_trace(
         else None
     )
 
-    if engine is not None:
-        def drive(start: int, stop: int) -> None:
-            engine.span(start, stop, deadline_at, beat)
-    else:
-        def drive(start: int, stop: int) -> None:
-            _run_span(access, batch, addresses, set_indices, tags, writes,
-                      start, stop, deadline_at, trace.name, beat)
+    def drive(start: int, stop: int) -> None:
+        _run_span(access, batch, addresses, set_indices, tags, writes,
+                  start, stop, deadline_at, trace.name, beat)
 
     if telemetry is not None:
         telemetry.phase_start("warmup", 0)
@@ -296,29 +268,15 @@ def run_trace(
         drive(warm, total)
     else:
         # Windowed measurement: the registry samples counters/gauges at
-        # every boundary.  The columnar engine substitutes a gauge
-        # source carrying the same stats object plus statically derived
-        # occupancy views, so the registry's own sampling code runs
-        # unmodified and the series stays byte-identical.
+        # every boundary.
         registry = MetricsRegistry(window_length=metrics_window)
         position = warm
         while position < total:
             stop = min(position + metrics_window, total)
             drive(position, stop)
-            registry.sample(
-                cache if engine is None else engine.sample_target(stop),
-                stop - position,
-            )
+            registry.sample(cache, stop - position)
             position = stop
     measured_seconds = perf_counter() - phase_start
-    if engine is not None:
-        # The engine replays the whole trace inside the first span, so
-        # the raw phase clocks pile onto warm-up.  Prorate the combined
-        # wall time by access share so manifest timings keep meaning
-        # throughput (content hashes never cover timings).
-        engine_seconds = warmup_seconds + measured_seconds
-        warmup_seconds = engine_seconds * (warm / total)
-        measured_seconds = engine_seconds - warmup_seconds
     if telemetry is not None:
         telemetry.phase_end("measured", total)
     measured = total - warm
@@ -356,6 +314,5 @@ def run_trace(
             registry.to_series(scheme, trace.name)
             if registry is not None else None
         ),
-        backend=resolved_backend,
         ledger=run_ledger,
     )

@@ -59,12 +59,6 @@ class Trace:
     _content_digest: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: (offset_bits, index_bits, associativity, have_writes) -> columnar
-    #: replay plan (or False for declined builds); derived, never
-    #: compared, pickled, or persisted.  See repro.sim.columnar.
-    _columnar_plans: Dict[Tuple[int, int, int, bool], object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.writes is not None and len(self.writes) != len(self.addresses):
@@ -79,7 +73,6 @@ class Trace:
         # recompute lazily on first use.
         state = dict(self.__dict__)
         state["_geometry_cache"] = {}
-        state["_columnar_plans"] = {}
         return state
 
     def precompute_geometry(

@@ -1,5 +1,7 @@
 """Unit tests for the conventional set-associative cache."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +9,15 @@ from repro.cache.access import AccessKind
 from repro.cache.basecache import SetAssociativeCache
 from repro.cache.geometry import CacheGeometry
 from repro.policies.lru import LruPolicy
+from repro.sim.config import make_scheme
+from repro.workloads.trace import Trace, TraceMetadata
 
-from tests.conftest import ReferenceLru, cyclic_addresses, random_addresses
+from tests.conftest import (
+    ReferenceLru,
+    compose_address,
+    cyclic_addresses,
+    random_addresses,
+)
 
 
 def make_cache(num_sets=16, associativity=4):
@@ -166,3 +175,90 @@ class TestDifferentialAgainstReference:
         ):
             assert cache.access(address).is_hit == reference.access(address)
         cache.check_invariants()
+
+
+def semantic_state(cache):
+    """A cache's full replacement state, free of physical way labels.
+
+    Per set: the resident tag set, the LRU-to-MRU *tag* order, each
+    tag's dirty bit and the free-way count.  Every observable — hits,
+    victims, write-backs, continuation behaviour — is a function of
+    exactly these, never of which physical way holds which tag.
+    """
+    out = []
+    for set_index in range(cache.geometry.num_sets):
+        table = cache._tag_to_way[set_index]
+        order_tags = tuple(
+            cache._way_tag[set_index][way]
+            for way in cache.policy.recency_order(set_index)
+        )
+        dirty = {
+            tag: cache._dirty[set_index][way] for tag, way in table.items()
+        }
+        out.append((
+            frozenset(table), order_tags, dirty,
+            len(cache._free_ways[set_index]),
+        ))
+    return out
+
+
+class TestBatchMatchesScalarFullState:
+    """``access_batch`` in random chunks leaves exactly ``access``'s state.
+
+    The batch path serves every LRU and DIP run, so it is compared with
+    per-access ``access`` on everything that can influence a later
+    access: statistics, RNG state, resident tags, dirty bits and
+    recency order per set, and DIP's set-dueling selector.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(["lru", "dip"]),
+        seed=st.integers(0, 10_000),
+        num_sets=st.sampled_from([2, 4, 8, 64]),
+        assoc=st.sampled_from([1, 2, 3, 4, 8, 16]),
+        length=st.integers(1, 600),
+        tag_space=st.sampled_from([3, 6, 20, 200]),
+        with_writes=st.booleans(),
+        cut_fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def test_random_traces_in_random_chunks(
+        self, scheme, seed, num_sets, assoc, length, tag_space,
+        with_writes, cut_fractions,
+    ):
+        rng = random.Random(seed)
+        geometry = CacheGeometry(
+            num_sets=num_sets, associativity=assoc, line_size=64
+        )
+        addresses = [
+            compose_address(
+                geometry, rng.randrange(tag_space), rng.randrange(num_sets)
+            )
+            for _ in range(length)
+        ]
+        writes = (
+            [rng.random() < 0.4 for _ in range(length)]
+            if with_writes else None
+        )
+        trace = Trace(
+            TraceMetadata(name=f"fuzz-{seed}", instructions=length * 3),
+            addresses, writes,
+        )
+        scalar = make_scheme(scheme, geometry, seed=seed + 1)
+        batched = make_scheme(scheme, geometry, seed=seed + 1)
+
+        for n, address in enumerate(addresses):
+            scalar.access(address, writes[n] if writes else False)
+        set_indices, tags = trace.precompute_geometry(batched.mapper)
+        cuts = sorted({round(f * length) for f in cut_fractions})
+        bounds = [0, *cuts, length]
+        for start, stop in zip(bounds, bounds[1:]):
+            batched.access_batch(addresses, set_indices, tags, writes,
+                                 start, stop)
+
+        assert batched.stats.as_dict() == scalar.stats.as_dict()
+        assert batched.rng.state == scalar.rng.state
+        assert semantic_state(batched) == semantic_state(scalar)
+        if scheme == "dip":
+            assert batched.policy.psel.value == scalar.policy.psel.value
+        batched.check_invariants()

@@ -172,6 +172,24 @@ class TestSpecValidation:
         ))
         assert a.digest() != b.digest()
 
+    def test_campaign_spec_backend_parse_and_digest(self, tmp_path):
+        # ``backend`` is a compatibility field: specs written when runs
+        # could pick an execution path still load, and their journals
+        # still resume, because a named backend stays in the digest.
+        base = {"schemes": ["lru"], "benchmarks": ["mcf"]}
+        plain = load_campaign_spec(write_spec(tmp_path, base, "plain.json"))
+        assert plain.backend is None
+        legacy = load_campaign_spec(write_spec(
+            tmp_path, dict(base, backend="numpy"), "legacy.json"
+        ))
+        assert legacy.backend == "numpy"
+        assert legacy.options == plain.options
+        assert legacy.digest() != plain.digest()
+        with pytest.raises(CampaignSpecError, match="backend"):
+            load_campaign_spec(write_spec(
+                tmp_path, dict(base, backend="cuda"), "bad.json"
+            ))
+
 
 # ----------------------------------------------------------------------
 # Deterministic cell expansion
