@@ -14,12 +14,10 @@ Two surfaces share this module:
   committed numbers.  Keys starting with ``_`` are metadata and are
   never guarded.
 
-Every ``BENCH_RECORD=1`` run additionally appends one entry to the
-``BENCH_HISTORY.jsonl`` ledger (rates + manifest hashes + machine
-params), and the guard prints the per-scheme trajectory report from
-that ledger — drift across recordings that individual guard runs
-cannot see.  Recording covers **every** scheme in the factory registry
-(aliases deduplicated), not just the paper's headline four.
+Recording covers **every** scheme in the factory registry (aliases
+deduplicated), not just the paper's headline four.  Performance over
+time is perfbench's record (``perfbench/``); this pair is only the CI
+throughput floor.
 """
 
 import gc
@@ -30,12 +28,6 @@ from pathlib import Path
 import pytest
 
 from repro.common.io import atomic_write_text
-from repro.obs.benchhistory import (
-    append_history,
-    detect_regressions,
-    load_history,
-    make_entry,
-)
 from repro.sim.config import (
     ExperimentScale,
     make_scheme,
@@ -49,12 +41,10 @@ TRACE = make_benchmark_trace("omnetpp", num_sets=64, length=20_000)
 
 #: Reference workload for the recorded/guarded numbers: long enough
 #: that per-run noise stays within a few percent on a quiet machine.
-#: Every distinct scheme in the registry is recorded, so the history
-#: ledger covers the full comparison space.
+#: Every distinct scheme in the registry is recorded.
 RECORD_SCHEMES = tuple(registry_scheme_keys())
 RECORD_LENGTH = 200_000
 ARTEFACT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
-HISTORY = Path(__file__).resolve().parent.parent / "BENCH_HISTORY.jsonl"
 
 
 @pytest.mark.parametrize(
@@ -120,9 +110,7 @@ def _measure(scheme: str) -> dict:
 def test_bench_record_throughput():
     # Metadata is rewritten fresh on every recording — a recorded rate
     # describes *this* measurement, so a stale note (or an inline copy
-    # of some past recording's rates) would misframe it.  Trajectory
-    # across recordings lives in the BENCH_HISTORY.jsonl ledger, which
-    # _meta.history points at.
+    # of some past recording's rates) would misframe it.
     document = {
         "_meta": {
             "note": (
@@ -136,7 +124,6 @@ def test_bench_record_throughput():
                 f"{SCALE.associativity} ways, {RECORD_LENGTH} accesses, "
                 f"warmup 0.25, best of repeated runs"
             ),
-            "history": "BENCH_HISTORY.jsonl",
         },
     }
     for scheme in RECORD_SCHEMES:
@@ -144,11 +131,6 @@ def test_bench_record_throughput():
     atomic_write_text(
         ARTEFACT, json.dumps(document, indent=2, sort_keys=True) + "\n"
     )
-    # Ledger append: the same measurement becomes one trajectory point.
-    append_history(HISTORY, make_entry({
-        key: value for key, value in document.items()
-        if not key.startswith("_")
-    }))
     assert all(document[s]["accesses_per_sec"] > 0 for s in RECORD_SCHEMES)
 
 
@@ -160,14 +142,6 @@ def test_bench_throughput_guard():
     assert ARTEFACT.is_file(), f"missing committed artefact {ARTEFACT}"
     document = json.loads(ARTEFACT.read_text(encoding="utf-8"))
     ratio = float(os.environ.get("BENCH_GUARD_RATIO", "0.8"))
-    # Trajectory report from the ledger: drift across recordings that a
-    # single guard run cannot see.  Informational — the hard floor below
-    # stays the committed-artefact comparison.
-    history = load_history(HISTORY)
-    if history:
-        print(f"\nbench-history trajectory ({len(history)} recordings):")
-        for verdict in detect_regressions(history):
-            print(f"  {verdict}")
     failures = []
     for key, recorded in document.items():
         if key.startswith("_"):

@@ -7,9 +7,8 @@ Commands
              ``--series-jsonl`` and ``--series-prom`` export them)
 ``compare``  run several schemes on one benchmark side by side
 ``bench``    run a scheme x benchmark grid, optionally in parallel
-             (``--jobs N``), with a content-addressed run cache, live
-             telemetry (``--telemetry DIR``), and the bench-history
-             trend view (``--history``)
+             (``--jobs N``), with a content-addressed run cache and live
+             telemetry (``--telemetry DIR``)
 ``campaign`` crash-recoverable declarative campaigns: ``run SPEC``
              executes (and by default *resumes*) a journaled campaign
              directory, ``resume`` is an explicit alias, and
@@ -33,17 +32,15 @@ Commands
              renders the self-contained HTML dashboard instead (a
              saved run file as ``--scheme``/``--vs`` renders that run)
 ``figure``   regenerate one of the paper's figures/tables by name
-``overhead`` print the Table 3 storage budget
 ``list``     enumerate available schemes and benchmarks
 
 ``run``, ``compare`` and ``figure`` additionally take ``--profile``
 (print per-phase wall-clock and accesses/sec) and ``run``/``compare``
 take ``--profile-json PATH`` (write a pytest-benchmark-style report).
 
-Every read side is a file: ``status.json`` (``top --json``), the bench
-ledger (``bench --history --json``), a campaign directory's
-``summary.json`` (``campaign status``) and saved run files (``diff``,
-``explain``, ``report``).
+Every read side is a file: ``status.json`` (``top --json``), a campaign
+directory's ``summary.json`` (``campaign status``) and saved run files
+(``diff``, ``explain``, ``report``).
 """
 
 from __future__ import annotations
@@ -77,11 +74,6 @@ from repro.analysis.report import build_report, render_report
 from repro._version import __version__
 from repro.common.errors import ReproError
 from repro.common.io import atomic_write_text
-from repro.obs.benchhistory import (
-    history_document,
-    load_history,
-    render_history,
-)
 from repro.obs.diff import diff_results
 from repro.obs.events import EVENT_TYPES
 from repro.obs.explain import attribute
@@ -253,16 +245,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.history:
-        history = load_history(args.history_file)
-        if args.json:
-            # Machine-readable verdicts so CI can gate on trajectory:
-            # exit 3 when any scheme regressed versus its recent best.
-            document = history_document(history)
-            print(json.dumps(document, indent=2, sort_keys=True))
-            return 3 if document["regressed"] else 0
-        print(render_history(history), end="")
-        return 0
     scale = _scale_from(args)
     schemes = [s.strip() for s in args.schemes.split(",")]
     benchmarks = (
@@ -571,11 +553,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_overhead(args: argparse.Namespace) -> int:
-    table3.main()
-    return 0
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     print("schemes:    " + ", ".join(available_schemes()))
     print("benchmarks: " + ", ".join(benchmark_names()))
@@ -664,21 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", metavar="DIR", default=None,
         help="write live fleet telemetry (spans, heartbeats, "
              "status.json) to DIR; watch it with 'repro top DIR'"
-    )
-    bench_parser.add_argument(
-        "--history", action="store_true",
-        help="print the bench-history trend view and exit "
-             "(no simulation)"
-    )
-    bench_parser.add_argument(
-        "--history-file", metavar="PATH", default="BENCH_HISTORY.jsonl",
-        help="bench-history ledger location "
-             "(default BENCH_HISTORY.jsonl)"
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true",
-        help="with --history: print machine-readable regression "
-             "verdicts (exit 3 when any scheme regressed)"
     )
     _add_scale_arguments(bench_parser)
     _add_profile_arguments(bench_parser)
@@ -957,11 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the figure's total wall-clock time"
     )
     figure_parser.set_defaults(handler=_cmd_figure)
-
-    overhead_parser = commands.add_parser(
-        "overhead", help="print the Table 3 storage budget"
-    )
-    overhead_parser.set_defaults(handler=_cmd_overhead)
 
     list_parser = commands.add_parser(
         "list", help="enumerate schemes, benchmarks and figures"

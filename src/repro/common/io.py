@@ -6,9 +6,9 @@ is fsync'ed, and is moved over the destination with :func:`os.replace`
 — atomic on POSIX and Windows — so readers only ever observe the old
 file or the complete new one.
 
-Logs — the campaign journal, fleet-telemetry status files and the
-bench ledger — are JSON lines appended through :class:`JsonlLog` and
-parsed by :func:`read_jsonl`.  A killed writer leaves at most one torn
+Logs — the campaign journal and fleet-telemetry status files — are
+JSON lines appended through :class:`JsonlLog` and parsed by
+:func:`read_jsonl`.  A killed writer leaves at most one torn
 final line, which each reader's policy tolerates and the next writer
 trims before appending; the trim is safe because every log has one
 writer at a time (the rule is spelled out on :class:`JsonlLog`).
@@ -112,7 +112,7 @@ class JsonlLog:
     newline (a torn record), which is safe only under the one-writer
     rule: the campaign runner holds ``campaign.lock`` over its journal,
     the parent owns ``grid.jsonl`` and the worker running cell *i* owns
-    that cell's status file, and one recorder appends the ledger.
+    that cell's status file.
     Records are flushed; ``durable=True`` also fsyncs each one.  Any
     ``OSError`` becomes :class:`~repro.common.errors.ReproError`.
     """

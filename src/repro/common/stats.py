@@ -1,8 +1,9 @@
 """Statistics collection shared by every simulated cache scheme.
 
 :class:`CacheStats` is intentionally a plain bag of integer counters with
-derived-ratio helpers — the hot path does ``stats.hits += 1`` directly —
-plus structured latency accounting used by the AMAT/CPI models.
+derived-ratio helpers — the hot path does ``stats.hits += 1`` directly.
+Latency lives elsewhere: AMAT/CPI come from :class:`~repro.timing.LatencyModel`
+through :attr:`RunResult.amat <repro.sim.simulator.RunResult.amat>`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class CacheStats:
     couplings: int = 0
     decouplings: int = 0
     safe_mode_entries: int = 0  # sets degraded to LRU after corruption
+    # Never incremented; kept because every stored run and campaign
+    # digest, and perfbench's pinned outcome digest, serialize it.
     total_latency_cycles: int = 0
 
     extra: Dict[str, int] = field(default_factory=dict)
@@ -50,13 +53,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Hits / accesses, or 0.0 when no accesses were recorded."""
         return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def amat_cycles(self) -> float:
-        """Average latency per access in cycles (0.0 if no accesses)."""
-        if not self.accesses:
-            return 0.0
-        return self.total_latency_cycles / self.accesses
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment a named ad-hoc counter in :attr:`extra`."""

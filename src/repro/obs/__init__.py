@@ -35,14 +35,10 @@ and the README's *Observability* section):
   resource samples, and retries; :func:`load_fleet` merges the channel
   into a :class:`FleetStatus` with ETA and stall verdicts, rendered by
   ``repro top`` and exported as ``status.json``.
-* **benchhistory** — the append-only ``BENCH_HISTORY.jsonl`` ledger of
-  throughput recordings plus :func:`detect_regressions`, the
-  trajectory detector behind ``repro bench --history`` and the
-  BENCH_GUARD report.
 * **No observatory.**  Every artifact above is a file, read back by
   one file-level command each: ``status.json`` / ``repro top --json``,
-  ``repro bench --history --json``, a campaign's ``summary.json``,
-  ``repro diff`` / ``explain`` and ``repro report`` over saved runs.
+  a campaign's ``summary.json``, ``repro diff`` / ``explain`` and
+  ``repro report`` over saved runs.
   Nothing here opens a database or a socket (DESIGN.md §15).
 """
 
@@ -84,16 +80,6 @@ from repro.obs.inspect import (
     spill_fanout,
     summarize_events,
     swap_cadence,
-)
-from repro.obs.benchhistory import (
-    TrajectoryVerdict,
-    append_history,
-    detect_regressions,
-    history_document,
-    load_history,
-    make_entry,
-    render_history,
-    scheme_trajectories,
 )
 from repro.obs.fleet import (
     CellFleetStatus,
@@ -162,21 +148,13 @@ __all__ = [
     "TraceEvent",
     "TraceSink",
     "Tracer",
-    "TrajectoryVerdict",
-    "append_history",
     "build_manifest",
     "cell_span_id",
     "cell_status_path",
-    "detect_regressions",
-    "history_document",
     "load_fleet",
-    "load_history",
-    "make_entry",
     "read_status_lines",
-    "render_history",
     "render_top",
     "resource_sample",
-    "scheme_trajectories",
     "write_status",
     "attribute",
     "coupling_lifetimes",

@@ -62,10 +62,9 @@ class RingBufferSink:
 class JsonlSink:
     """Stream events to a JSON-lines file (one event dict per line).
 
-    ``flush_every=N`` flushes the OS buffer every N events so a crashed
-    run loses at most N events (plus, at worst, one truncated final
-    line, which :func:`load_events` can be asked to tolerate); the
-    default keeps normal Python buffering for throughput.
+    Writes use normal Python buffering for throughput; a crashed run
+    can leave a truncated final line, which :func:`load_events` can be
+    asked to tolerate.
 
     Every open sink registers an ``atexit`` close, so a process that
     exits without unwinding (a pool worker hitting ``os._exit`` paths,
@@ -73,15 +72,8 @@ class JsonlSink:
     events; an explicit :meth:`close` unregisters it again.
     """
 
-    def __init__(
-        self, path: Union[str, Path], flush_every: int = 0
-    ) -> None:
-        if flush_every < 0:
-            raise ConfigError(
-                f"flush_every must be >= 0, got {flush_every}"
-            )
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.flush_every = flush_every
         self._handle: Optional[TextIO] = self.path.open("w", encoding="utf-8")
         self.total_recorded = 0
         atexit.register(self.close)
@@ -92,8 +84,6 @@ class JsonlSink:
             raise ConfigError(f"JsonlSink {self.path} is closed")
         self._handle.write(json.dumps(event.as_dict()) + "\n")
         self.total_recorded += 1
-        if self.flush_every and self.total_recorded % self.flush_every == 0:
-            self._handle.flush()
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""

@@ -20,7 +20,12 @@ from repro.common.errors import (
     ConfigError,
     ReproError,
 )
-from repro.common.io import JsonlLog, atomic_write, atomic_write_text
+from repro.common.io import (
+    JsonlLog,
+    atomic_write,
+    atomic_write_text,
+    read_jsonl,
+)
 from repro.obs.profile import RunProfiler
 from repro.sim.cache import RunCache
 from repro.sim.campaign import (
@@ -276,6 +281,30 @@ class TestJournal:
         records, truncated = load_journal(path)
         assert truncated
         assert len(records) == 1
+
+    @pytest.mark.parametrize("before, fragment", [
+        (1, '{"kind": "cell_done", "cel'),
+        # Longer than one backward read: the newline search spans chunks.
+        (1, '{"note": "' + "x" * 10_000),
+        # No newline anywhere: the whole file is one torn record.
+        (0, '{"kind": "cell_done", "cel'),
+    ], ids=["short", "multi-chunk", "only-torn"])
+    def test_append_after_torn_line_keeps_every_entry(
+        self, tmp_path, before, fragment
+    ):
+        path = tmp_path / "campaign.jsonl"
+        entries = [{"kind": "cell_start", "cell": cell} for cell in range(3)]
+        with JsonlLog(path, durable=True) as journal:
+            for acknowledged in entries[:before]:
+                journal.append(acknowledged)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(fragment)  # writer killed mid-append
+        with JsonlLog(path, durable=True) as journal:
+            for acknowledged in entries[before:]:
+                journal.append(acknowledged)
+        records, bad = read_jsonl(path)
+        assert bad == []
+        assert [record for _, record in records] == entries
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "campaign.jsonl"

@@ -88,7 +88,7 @@ class TestCommands:
         assert "run cache" not in capsys.readouterr().out
 
     def test_overhead(self, capsys):
-        assert main(["overhead"]) == 0
+        assert main(["figure", "table3"]) == 0
         assert "3.1" in capsys.readouterr().out.replace("3.16", "3.1")
 
     def test_trace(self, capsys, tmp_path):

@@ -472,10 +472,6 @@ class TestTruncatedEventLog:
         assert len(events) == 4
         assert skipped == []
 
-    def test_flush_every_validated(self, tmp_path):
-        with pytest.raises(ConfigError):
-            JsonlSink(tmp_path / "x.jsonl", flush_every=-1)
-
 
 class TestTargetsStayInSync:
     def test_cli_default_plan_covers_every_target(self):

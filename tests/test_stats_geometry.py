@@ -13,7 +13,6 @@ class TestCacheStats:
         assert stats.accesses == 0
         assert stats.miss_rate == 0.0
         assert stats.hit_rate == 0.0
-        assert stats.amat_cycles == 0.0
 
     def test_rates(self):
         stats = CacheStats(accesses=10, hits=7, misses=3)
